@@ -21,8 +21,16 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .game import LatticePoint, MultichoiceGame, encode_index, members_tuple
-from .indices import _check_query_size, classical_interaction
+from .game import (
+    LatticePoint,
+    MultichoiceGame,
+    check_query_size,
+    corners,
+    digits,
+    encode_index,
+    members_tuple,
+)
+from .indices import classical_interaction
 
 
 @dataclass(frozen=True)
@@ -63,11 +71,7 @@ def section_capacity(v: MultichoiceGame, q: Sequence[int]) -> SectionCapacity:
     if any(not 0 <= qi <= v.k - 1 for qi in q):
         raise ValueError(f"cell base {tuple(q)} must lie in [0, {v.k - 1}]^n")
     base = encode_index(q, v.n, v.k)
-    offsets = np.zeros(2**v.n, dtype=np.int64)
-    for i in range(v.n):
-        bit = 1 << i
-        stride = (v.k + 1) ** i
-        offsets[bit : 2 * bit] = offsets[:bit] + stride  # doubling over masks
+    _, offsets = corners([(v.k + 1) ** i for i in range(v.n)])  # by coalition mask
     mu = v.values[base + offsets] - v.values[base]
     mu[0] = 0.0
     return SectionCapacity(v.n, tuple(int(qi) for qi in q), mu)
@@ -124,16 +128,6 @@ def choquet_kary(v: MultichoiceGame, z: Sequence[float]) -> float:
     return _eval_in_cell(v, q, arr)
 
 
-def _cell_bases(n: int, k: int) -> np.ndarray:
-    """All k**n unit-cell bases in canonical order (attribute 1 fastest)."""
-    count = k**n
-    cells = np.empty((count, n), dtype=np.int64)
-    idx = np.arange(count, dtype=np.int64)
-    for i in range(n):
-        cells[:, i] = (idx // k**i) % k
-    return cells
-
-
 def interaction_cellsum(
     v: MultichoiceGame, T: Iterable[int], limit_bits: int | None = None
 ) -> float:
@@ -146,10 +140,10 @@ def interaction_cellsum(
     members = members_tuple(T, v.n)
     if not members:
         raise ValueError("T must be nonempty")
-    _check_query_size(v.k**v.n * 2**v.n, limit_bits)
+    check_query_size(v.k**v.n * 2**v.n, limit_bits)
     terms = [
         classical_interaction(section_capacity(v, q).as_game(), members)
-        for q in _cell_bases(v.n, v.k)
+        for q in digits(v.k, v.n)  # every unit-cell base
     ]
     return math.fsum(terms)
 
@@ -182,32 +176,23 @@ def integral_check(
     if comp and samples < 2:
         raise ValueError("need at least two samples to estimate a standard error")
 
-    corners = []
-    for bits in range(2**t):
-        sign = (-1.0) ** (t - bits.bit_count())
-        lv = np.zeros(n)
-        for j in range(t):
-            if bits >> j & 1:
-                lv[members[j] - 1] = 1.0
-        corners.append((sign, lv))
+    # corner offsets in a k = 1 table are coalition masks; unpack them to 0/1 points
+    signs, masks = corners([1 << (i - 1) for i in members])
+    points = (masks[:, None] >> np.arange(n) & 1).astype(np.float64)
 
     comp_idx = [i - 1 for i in comp]
     means, variances = [], []
-    for ci, q in enumerate(_cell_bases(n, k)):
+    for ci, q in enumerate(digits(k, n)):
         mu = section_capacity(v, q)
         vq = v.values[encode_index(q, n, k)]
         if not comp:
-            g = math.fsum(
-                sign * (vq + float(_choquet_batch(mu.mu, lv[None, :], n)[0]))
-                for sign, lv in corners
-            )
-            means.append(g)
+            means.append(math.fsum(signs * (vq + _choquet_batch(mu.mu, points, n))))
             variances.append(0.0)
             continue
         rng = np.random.default_rng((seed, ci))
         U = rng.random((samples, len(comp)))
         g = np.zeros(samples)
-        for sign, lv in corners:
+        for sign, lv in zip(signs, points):
             W = np.broadcast_to(lv, (samples, n)).copy()
             W[:, comp_idx] = U
             g += sign * (vq + _choquet_batch(mu.mu, W, n))

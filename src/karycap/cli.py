@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .choquet import choquet_kary, integral_check
 from .game import MultichoiceGame, is_kary_capacity
-from .indices import METHODS, interaction, interaction_all_upto
+from .indices import METHODS, interaction, interaction_all_upto, interaction_by_method
 from .io import GameFormatError, load_game, save_game
 from .verify import AXIOMS, verify_axiom
 from . import indices, verify as _verify_mod
@@ -165,7 +165,7 @@ def cmd_interaction(args) -> int:
     game = _load(args)
     if args.set_ is not None:
         T = _parse_set(args.set_)
-        value = _method_value(game, T, args.method, args.limit)
+        value = interaction_by_method(game, T, args.method, args.limit)
         doc = {"method": args.method, "interactions": {_coalition_key(T): value}}
     else:
         if not 1 <= args.order <= game.n:
@@ -180,18 +180,6 @@ def cmd_interaction(args) -> int:
         }
     _emit(doc, args)
     return 0
-
-
-def _method_value(game, T, method, limit_bits):
-    if method == "derivative_sum":
-        return indices.interaction_via_derivatives(game, T, limit_bits)
-    if method == "recursive":
-        return indices.interaction_recursive(game, T)
-    if method == "cellsum":
-        from .choquet import interaction_cellsum
-
-        return interaction_cellsum(game, T, limit_bits)
-    return interaction(game, T, limit_bits)
 
 
 def cmd_choquet(args) -> int:
@@ -211,9 +199,7 @@ def cmd_choquet(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    game = None
-    if args.path:
-        game = load_game(args.path, normalize=args.normalize, limit_bits=args.limit)
+    game = _load(args) if args.path else None
     if args.axioms == "all":
         axioms = list(AXIOMS)
     else:

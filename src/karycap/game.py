@@ -12,8 +12,10 @@ so games can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from itertools import product
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,6 +24,9 @@ Coalition = tuple[int, ...]
 
 #: Default cap on table size: (k+1)**n must fit in this many bits.
 DEFAULT_TABLE_BITS = 28
+
+#: Default cap on table lookups per index query: profiles * corners <= 2**bits.
+DEFAULT_QUERY_BITS = 26
 
 GAME_KINDS = ("general", "monotone", "additive")
 
@@ -40,6 +45,44 @@ def check_table_size(n: int, k: int, limit_bits: int | None = None) -> None:
             f"table over {{0..{k}}}^{n} has (k+1)^n = {(k + 1) ** n} entries, "
             f"beyond the {bits}-bit limit; raise the limit explicitly if intended"
         )
+
+
+def check_query_size(count: int, limit_bits: int | None = None) -> None:
+    """Fail fast if a query would need more than 2**bits table lookups."""
+    bits = limit_bits if limit_bits is not None else DEFAULT_QUERY_BITS
+    if count > 2**bits:
+        raise SizeLimitError(
+            f"query needs {count} table lookups, beyond the {bits}-bit limit; "
+            "raise the limit explicitly if intended"
+        )
+
+
+def digits(base: int, width: int) -> np.ndarray:
+    """All base**width digit rows over width columns, little-endian.
+
+    Row r holds the base-``base`` digits of r, so column 0 varies fastest;
+    this is the canonical order of a table over {0..base-1}^width.
+    """
+    grid = np.indices((base,) * width, dtype=np.int64)  # last axis fastest
+    return grid.reshape(width, base**width)[::-1].T
+
+
+def corners(strides: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and flat offsets of the 2**t corners of a cell with t edges.
+
+    Corner number ``bits`` (ascending) steps along edge j, by strides[j],
+    when bit j is set; its sign is (-1)**(t - popcount(bits)).
+    """
+    signs, offsets = [(-1.0) ** len(strides)], [0]
+    for stride in strides:  # doubling: corners with the new bit follow those without
+        signs += [-s for s in signs]
+        offsets += [o + stride for o in offsets]
+    return np.array(signs), np.array(offsets, dtype=np.int64)
+
+
+def _profiles(n: int, k: int) -> Iterator[LatticePoint]:
+    # product varies its last slot fastest; reversed, attribute 1 is fastest
+    return (p[::-1] for p in product(range(k + 1), repeat=n))
 
 
 def encode_index(x: Sequence[int], n: int, k: int) -> int:
@@ -76,9 +119,15 @@ def kernel(x: Sequence[int], k: int) -> Coalition:
     return tuple(i + 1 for i, xi in enumerate(x) if xi == k)
 
 
+def _member(i) -> int:
+    if not isinstance(i, (bool, np.bool_)) and hasattr(type(i), "__index__"):
+        return operator.index(i)
+    raise ValueError(f"coalition member {i!r} is not an integer")
+
+
 def members_tuple(T: Iterable[int], n: int) -> Coalition:
-    """Validate a coalition: distinct 1-based attribute indices, sorted."""
-    members = tuple(sorted(int(i) for i in T))
+    """Validate a coalition: distinct 1-based integer attribute indices, sorted."""
+    members = tuple(sorted(_member(i) for i in T))
     if any(i < 1 or i > n for i in members):
         raise ValueError(f"coalition {members} has indices outside 1..{n}")
     if len(set(members)) != len(members):
@@ -110,6 +159,8 @@ class MultichoiceGame:
                 f"table length {vals.size} does not match (k+1)^n = "
                 f"{(self.k + 1) ** self.n}"
             )
+        if not np.isfinite(vals).all():
+            raise ValueError("table values must be finite")
         if vals[0] != 0.0:
             raise ValueError(f"value at the zero profile must be 0, got {vals[0]!r}")
         vals.flags.writeable = False
@@ -127,10 +178,7 @@ class MultichoiceGame:
     ) -> "MultichoiceGame":
         """Tabulate fn over the whole grid; fn must vanish at the zero profile."""
         check_table_size(n, k)
-        vals = np.array(
-            [fn(decode_index(i, n, k)) for i in range((k + 1) ** n)], dtype=np.float64
-        )
-        return cls(n, k, vals)
+        return cls(n, k, np.array([fn(x) for x in _profiles(n, k)], dtype=np.float64))
 
     def value(self, x: Sequence[int]) -> float:
         """Game value at profile x."""
@@ -138,8 +186,7 @@ class MultichoiceGame:
 
     def points(self) -> Iterable[LatticePoint]:
         """All lattice profiles in canonical table order."""
-        for i in range((self.k + 1) ** self.n):
-            yield decode_index(i, self.n, self.k)
+        return _profiles(self.n, self.k)
 
     def grid(self) -> np.ndarray:
         """Table reshaped so that axis (n-1-i) indexes the level of attribute i+1."""
@@ -169,15 +216,8 @@ def discrete_derivative(v: MultichoiceGame, T: Iterable[int], x: Sequence[int]) 
     for i in members:
         if x[i - 1] >= v.k:
             raise ValueError(f"attribute {i} already at top level in {tuple(x)}")
-    base = encode_index(x, v.n, v.k)
-    t = len(members)
-    strides = [(v.k + 1) ** (i - 1) for i in members]
-    terms = []
-    for bits in range(2**t):
-        a = bits.bit_count()
-        off = sum(strides[j] for j in range(t) if bits >> j & 1)
-        terms.append((-1.0) ** (t - a) * float(v.values[base + off]))
-    return math.fsum(terms)
+    signs, offsets = corners([(v.k + 1) ** (i - 1) for i in members])
+    return math.fsum(signs * v.values[encode_index(x, v.n, v.k) + offsets])
 
 
 def extend_heterogeneous(
@@ -209,16 +249,12 @@ def extend_heterogeneous(
         raise ValueError(f"raw table length {raw.size}, expected {expected}")
     if raw[0] != 0.0:
         raise ValueError(f"raw value at the zero profile must be 0, got {raw[0]!r}")
-
-    size = (k + 1) ** n
-    src = np.zeros(size, dtype=np.int64)
-    stride_raw = 1
-    for i, ki in enumerate(k_list):
-        level = (np.arange(size, dtype=np.int64) // (k + 1) ** i) % (k + 1)
-        src += np.minimum(level, ki) * stride_raw
-        stride_raw *= ki + 1
+    # grid axis 0 carries attribute n; each axis reads its levels clamped to k_i
+    k_rev = k_list[::-1]
+    clamped = np.ix_(*(np.minimum(np.arange(k + 1), ki) for ki in k_rev))
+    vals = raw.reshape([ki + 1 for ki in k_rev])[clamped].ravel()
     meta = {"k_list": tuple(k_list)} if (k_list != [k] * n) else {}
-    return MultichoiceGame(n, k, raw[src], meta)
+    return MultichoiceGame(n, k, vals, meta)
 
 
 def is_kary_capacity(v: MultichoiceGame, tol: float = 1e-9) -> bool:
@@ -349,7 +385,6 @@ def random_game(
     else:  # additive
         weights = rng.uniform(0.0, 1.0, n)
         vals = np.zeros(size)
-        for i in range(n):
-            level = (np.arange(size) // (k + 1) ** i) % (k + 1)
-            vals += weights[i] * level
+        for weight, level in zip(weights, digits(k + 1, n).T):
+            vals += weight * level
     return MultichoiceGame(n, k, vals, {"seed": int(seed), "kind": kind})

@@ -35,16 +35,13 @@ import numpy as np
 from .game import (
     Coalition,
     MultichoiceGame,
-    SizeLimitError,
+    check_query_size,
+    corners,
+    digits,
     members_tuple,
     reduce_group,
     support,
 )
-
-Rational = Fraction
-
-#: Default cap on table lookups per index query: profiles * corners <= 2**bits.
-DEFAULT_QUERY_BITS = 26
 
 METHODS = ("closed_form", "derivative_sum", "recursive", "cellsum")
 
@@ -63,30 +60,24 @@ def shapley_coefficient(n: int, t: int, s: int, kap: int) -> Fraction:
     )
 
 
-def _check_query_size(count: int, limit_bits: int | None) -> None:
-    bits = limit_bits if limit_bits is not None else DEFAULT_QUERY_BITS
-    if count > 2**bits:
-        raise SizeLimitError(
-            f"query needs {count} table lookups, beyond the {bits}-bit limit; "
-            "raise the limit explicitly if intended"
-        )
+def _complement_profiles(
+    v: MultichoiceGame, members: Coalition
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices and (s, kap) class ids of the profiles outside ``members``.
+
+    The profiles range over the other attributes with ``members`` at level
+    0; support size s and kernel size kap give class id s * (n + 1) + kap.
+    """
+    comp = [i for i in range(1, v.n + 1) if i not in members]
+    levels = digits(v.k + 1, len(comp))
+    base = levels @ np.array([(v.k + 1) ** (i - 1) for i in comp], dtype=np.int64)
+    s_arr = np.count_nonzero(levels > 0, axis=1)
+    kap_arr = np.count_nonzero(levels == v.k, axis=1)
+    return base, s_arr * (v.n + 1) + kap_arr
 
 
-def _profile_levels(m: int, k: int) -> np.ndarray:
-    """All (k+1)**m level rows over m slots, first slot varying fastest."""
-    count = (k + 1) ** m
-    levels = np.empty((count, m), dtype=np.int64)
-    idx = np.arange(count, dtype=np.int64)
-    for j in range(m):
-        levels[:, j] = (idx // (k + 1) ** j) % (k + 1)
-    return levels
-
-
-def _combine_classes(
-    n: int, t: int, s_arr: np.ndarray, kap_arr: np.ndarray, terms: np.ndarray
-) -> float:
+def _combine_classes(n: int, t: int, cid: np.ndarray, terms: np.ndarray) -> float:
     """Per-(s, kap)-class totals, each scaled by its exact coefficient."""
-    cid = s_arr * (n + 1) + kap_arr
     sums = np.bincount(cid, weights=terms, minlength=(n + 1) ** 2)
     return math.fsum(
         float(shapley_coefficient(n, t, int(c) // (n + 1), int(c) % (n + 1))) * sums[c]
@@ -95,22 +86,13 @@ def _combine_classes(
 
 
 def _closed_form(v: MultichoiceGame, members: Coalition, limit_bits: int | None) -> float:
-    n, k = v.n, v.k
-    t = len(members)
-    comp = [i - 1 for i in range(1, n + 1) if i not in set(members)]
-    _check_query_size((k + 1) ** len(comp) * 2**t, limit_bits)
-    levels = _profile_levels(len(comp), k)
-    strides = np.array([(k + 1) ** p for p in comp], dtype=np.int64)
-    base = levels @ strides if comp else np.zeros(1, dtype=np.int64)
-    member_strides = [(k + 1) ** (i - 1) for i in members]
+    n, k, t = v.n, v.k, len(members)
+    check_query_size((k + 1) ** (n - t) * 2**t, limit_bits)
+    base, cid = _complement_profiles(v, members)
     terms = np.zeros(len(base))
-    for bits in range(2**t):
-        sign = (-1.0) ** (t - bits.bit_count())
-        off = sum(k * member_strides[j] for j in range(t) if bits >> j & 1)
+    for sign, off in zip(*corners([k * (k + 1) ** (i - 1) for i in members])):
         terms += sign * v.values[base + off]
-    s_arr = np.count_nonzero(levels > 0, axis=1)
-    kap_arr = np.count_nonzero(levels == k, axis=1)
-    return _combine_classes(n, t, s_arr, kap_arr, terms)
+    return _combine_classes(n, t, cid, terms)
 
 
 def importance(v: MultichoiceGame, i: int, limit_bits: int | None = None) -> float:
@@ -149,35 +131,21 @@ def interaction_via_derivatives(
     members = members_tuple(T, v.n)
     if not members:
         raise ValueError("T must be nonempty")
-    n, k = v.n, v.k
-    t = len(members)
-    comp = [i - 1 for i in range(1, n + 1) if i not in set(members)]
-    _check_query_size((k + 1) ** len(comp) * k**t * 2**t, limit_bits)
-
-    levels = _profile_levels(len(comp), k)
-    strides = np.array([(k + 1) ** p for p in comp], dtype=np.int64)
-    base = levels @ strides if comp else np.zeros(1, dtype=np.int64)
-
-    # bases of the k**t cell corners inside the T-block
-    member_strides = [(k + 1) ** (i - 1) for i in members]
-    cells = np.zeros(k**t, dtype=np.int64)
-    idx = np.arange(k**t, dtype=np.int64)
-    for j in range(t):
-        cells += ((idx // k**j) % k) * member_strides[j]
-
-    deltas = np.zeros((len(base), len(cells)))
-    grid = base[:, None] + cells[None, :]
-    for bits in range(2**t):
-        sign = (-1.0) ** (t - bits.bit_count())
-        off = sum(member_strides[j] for j in range(t) if bits >> j & 1)
+    n, k, t = v.n, v.k, len(members)
+    check_query_size((k + 1) ** (n - t) * k**t * 2**t, limit_bits)
+    base, cid = _complement_profiles(v, members)
+    member_strides = np.array([(k + 1) ** (i - 1) for i in members], dtype=np.int64)
+    # bases of the k**t unit cells inside the T-block
+    grid = base[:, None] + (digits(k, t) @ member_strides)[None, :]
+    deltas = np.zeros(grid.shape)
+    for sign, off in zip(*corners(member_strides)):
         deltas += sign * v.values[grid + off]
-    terms = deltas.sum(axis=1)
-    s_arr = np.count_nonzero(levels > 0, axis=1)
-    kap_arr = np.count_nonzero(levels == k, axis=1)
-    return _combine_classes(n, t, s_arr, kap_arr, terms)
+    return _combine_classes(n, t, cid, deltas.sum(axis=1))
 
 
-def interaction_recursive(v: MultichoiceGame, T: Iterable[int]) -> float:
+def interaction_recursive(
+    v: MultichoiceGame, T: Iterable[int], limit_bits: int | None = None
+) -> float:
     """Interaction of T via macro-attribute reductions.
 
     Expands I(T) as the signed sum, over nonempty A within T, of the
@@ -190,12 +158,12 @@ def interaction_recursive(v: MultichoiceGame, T: Iterable[int]) -> float:
         raise ValueError("T must be nonempty")
     t = len(members)
     if t == 1:
-        return importance(v, members[0])
+        return importance(v, members[0], limit_bits)
     terms = []
     for a in range(1, t + 1):
         for A in combinations(members, a):
             reduced = reduce_group(v, members, A)
-            terms.append((-1.0) ** (t - a) * importance(reduced, reduced.n))
+            terms.append((-1.0) ** (t - a) * importance(reduced, reduced.n, limit_bits))
     return math.fsum(terms)
 
 
@@ -261,23 +229,18 @@ def lattice_point_interaction(v: MultichoiceGame, x: Sequence[int]) -> float:
         raise ValueError("x must have nonempty support")
     n, k = v.n, v.k
     j = len(J)
-    outside = [i for i in range(1, n + 1) if i not in set(J)]
+    outside = [i for i in range(1, n + 1) if i not in J]
+    signs, cell = corners([(k + 1) ** (i - 1) for i in J])
     base = sum((x[i - 1] - 1) * (k + 1) ** (i - 1) for i in J)
-    member_strides = [(k + 1) ** (i - 1) for i in J]
-    corner = [
-        ((-1.0) ** (j - bits.bit_count()), sum(member_strides[p] for p in range(j) if bits >> p & 1))
-        for bits in range(2**j)
-    ]
-    by_top_count: dict[int, list[float]] = {}
-    for bits in range(2 ** len(outside)):
-        h = bits.bit_count()
-        off = base + sum(k * (k + 1) ** (outside[p] - 1) for p in range(len(outside)) if bits >> p & 1)
-        delta = math.fsum(sign * v.values[off + c] for sign, c in corner)
-        by_top_count.setdefault(h, []).append(delta)
+    # the outside attributes sweep {0, k}; h counts those at the top
+    tops = digits(2, len(outside))
+    sweep = base + tops @ np.array([k * (k + 1) ** (i - 1) for i in outside], dtype=np.int64)
+    deltas = np.array([math.fsum(signs * v.values[off + cell]) for off in sweep])
+    h_arr = tops.sum(axis=1)
     return math.fsum(
         float(Fraction(math.factorial(n - j - h) * math.factorial(h), math.factorial(n - j + 1)))
-        * math.fsum(deltas)
-        for h, deltas in sorted(by_top_count.items())
+        * math.fsum(deltas[h_arr == h])
+        for h in range(len(outside) + 1)
     )
 
 
@@ -305,6 +268,30 @@ class IndexReport:
         }
 
 
+def interaction_by_method(
+    v: MultichoiceGame, T: Iterable[int], method: str, limit_bits: int | None = None
+) -> float:
+    """Interaction of T computed by one of :data:`METHODS`.
+
+    Each method's function is looked up by its module-level name at call
+    time, so a rebinding of that name (a wrapper, say) is honoured.
+    """
+    if method == "cellsum":
+        # choquet imports classical_interaction from here, so a module-level
+        # import of choquet would be circular
+        from .choquet import interaction_cellsum
+
+        return interaction_cellsum(v, T, limit_bits)
+    compute = {
+        "closed_form": interaction,
+        "derivative_sum": interaction_via_derivatives,
+        "recursive": interaction_recursive,
+    }.get(method)
+    if compute is None:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    return compute(v, T, limit_bits)
+
+
 def interaction_all_upto(
     v: MultichoiceGame,
     m: int,
@@ -318,24 +305,11 @@ def interaction_all_upto(
     """
     if not 1 <= m <= v.n:
         raise ValueError(f"max order {m} outside 1..{v.n}")
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if method == "cellsum":
-        from .choquet import interaction_cellsum
-
-        compute = lambda T: interaction_cellsum(v, T, limit_bits)
-    elif method == "derivative_sum":
-        compute = lambda T: interaction_via_derivatives(v, T, limit_bits)
-    elif method == "recursive":
-        compute = lambda T: interaction_recursive(v, T)
-    else:
-        compute = lambda T: interaction(v, T, limit_bits)
-
     start = time.perf_counter()
     interactions: dict[Coalition, float] = {}
     for size in range(1, m + 1):
         for T in combinations(range(1, v.n + 1), size):
-            interactions[T] = compute(T)
+            interactions[T] = interaction_by_method(v, T, method, limit_bits)
     imp = {T[0]: val for T, val in interactions.items() if len(T) == 1}
     target = v.meta.get("name") or f"game(n={v.n},k={v.k})"
     return IndexReport(

@@ -38,7 +38,7 @@ def load_game(
         doc = _parse(path_or_fp)
 
     n, k_field, values = doc["n"], doc["k"], doc["values"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise GameFormatError(f'"n" must be a positive integer, got {n!r}')
 
     if isinstance(k_field, list):
@@ -46,7 +46,7 @@ def load_game(
             raise GameFormatError(
                 f'"k" list has {len(k_field)} entries, expected n = {n}'
             )
-        if not all(isinstance(ki, int) and ki >= 1 for ki in k_field):
+        if not all(_is_int(ki) and ki >= 1 for ki in k_field):
             raise GameFormatError(f'"k" list entries must be integers >= 1: {k_field}')
         expected = 1
         for ki in k_field:
@@ -61,7 +61,7 @@ def load_game(
         return game
 
     k = k_field
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise GameFormatError(f'"k" must be an integer >= 1 or a list, got {k!r}')
     check_table_size(n, k, limit_bits)
     values, offset = _values_array(values, (k + 1) ** n, normalize)
@@ -79,6 +79,11 @@ def save_game(game: MultichoiceGame, path_or_fp: str | IO[str]) -> None:
     else:
         json.dump(doc, path_or_fp)
         path_or_fp.write("\n")
+
+
+def _is_int(x) -> bool:
+    # bool subclasses int, so JSON true would otherwise pass as 1
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _parse(fp: IO[str]) -> dict:

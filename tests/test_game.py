@@ -23,7 +23,16 @@ from karycap import (
     restrict_present_top,
     support,
 )
+from karycap.game import corners, digits
 from conftest import delta_recursive
+
+
+def corners_by_bits(strides):
+    # per-bit loop over corner numbers: the reference for corners()
+    t = len(strides)
+    signs = [(-1.0) ** (t - bits.bit_count()) for bits in range(2**t)]
+    offsets = [sum(strides[j] for j in range(t) if bits >> j & 1) for bits in range(2**t)]
+    return signs, offsets
 
 
 class TestEncoding:
@@ -52,6 +61,32 @@ class TestEncoding:
             encode_index((0, 0, 0), 2, 2)
 
 
+class TestGridHelpers:
+    @given(st.integers(1, 4), st.integers(0, 4))
+    def test_digits_round_trip_through_encode_index(self, base, width):
+        rows = digits(base, width)
+        assert rows.shape == (base**width, width)
+        assert [encode_index(row.tolist(), width, base - 1) for row in rows] == list(
+            range(base**width)
+        )
+
+    @given(st.lists(st.integers(0, 10**6), max_size=6))
+    def test_corners_match_per_bit_loop(self, strides):
+        signs, offsets = corners(strides)
+        assert (signs.tolist(), offsets.tolist()) == corners_by_bits(strides)
+
+    @given(st.integers(1, 4), st.integers(1, 3))
+    def test_points_are_decoded_indices_of_python_ints(self, n, k):
+        points = list(min_game(n, k).points())
+        assert points == [decode_index(i, n, k) for i in range((k + 1) ** n)]
+        assert all(type(c) is int for x in points for c in x)
+
+    def test_from_function_passes_points_in_table_order(self):
+        seen = []
+        MultichoiceGame.from_function(2, 2, lambda x: seen.append(x) or 0.0)
+        assert seen == list(min_game(2, 2).points())
+
+
 class TestSupportKernel:
     def test_support(self):
         assert support((0, 0, 0)) == ()
@@ -72,6 +107,11 @@ class TestGameConstruction:
     def test_table_length_checked(self):
         with pytest.raises(ValueError, match="length"):
             MultichoiceGame.from_values(2, 2, [0.0] * 8)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MultichoiceGame(1, 1, [0.0, bad])
 
     def test_values_read_only(self, m2):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from karycap import (
@@ -20,6 +21,7 @@ from karycap import (
     random_game,
     shapley_coefficient,
 )
+from karycap.indices import METHODS, interaction_by_method
 from conftest import assert_close, brute_shapley, dividend_interaction, unanimity
 
 
@@ -100,6 +102,15 @@ class TestInteraction:
         with pytest.raises(ValueError):
             interaction(m2, ())
 
+    @pytest.mark.parametrize("member", [1.7, True], ids=["float", "bool"])
+    def test_rejects_non_integer_member(self, m2, member):
+        # int() would otherwise read either one as attribute 1
+        with pytest.raises(ValueError, match="not an integer"):
+            interaction(m2, (member,))
+
+    def test_accepts_numpy_integer_member(self, m2):
+        assert interaction(m2, (np.int64(1),)) == interaction(m2, (1,))
+
     def test_singleton_is_importance_bitwise(self):
         for seed in range(20):
             for n, k in [(2, 1), (2, 2), (3, 2), (3, 3)]:
@@ -157,6 +168,16 @@ class TestRecursiveForm:
                 for t in range(1, min(n, 3) + 1):
                     for T in combinations(range(1, n + 1), t):
                         assert_close(interaction_recursive(v, T), interaction(v, T))
+
+    def test_honours_limit(self):
+        v = random_game(5, 4, 3, "general")
+        with pytest.raises(SizeLimitError):
+            interaction(v, (1, 2), limit_bits=4)
+        with pytest.raises(SizeLimitError):
+            interaction_recursive(v, (1, 2), 4)
+        with pytest.raises(SizeLimitError):
+            interaction_all_upto(v, 2, "recursive", 4)
+        interaction_recursive(v, (1, 2), 12)  # raised limit admits the query
 
 
 class TestClassicalIndices:
@@ -284,6 +305,20 @@ class TestReport:
         for T, val in report.interactions.items():
             if len(T) >= 2:
                 assert_close(val, 0.0, 1e-12)
+
+    def test_dispatcher_matches_each_route(self):
+        v = random_game(72, 3, 2, "general")
+        routes = [interaction, interaction_via_derivatives, interaction_recursive]
+        for method, route in zip(METHODS, routes):
+            assert interaction_by_method(v, (1, 3), method) == route(v, (1, 3))
+        with pytest.raises(ValueError, match="method must be one of"):
+            interaction_by_method(v, (1, 3), "fancy")
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_dispatcher_passes_limit_to_every_method(self, method):
+        v = random_game(5, 4, 3, "general")
+        with pytest.raises(SizeLimitError):
+            interaction_by_method(v, (1, 2), method, 4)
 
     def test_bad_arguments(self, m2):
         with pytest.raises(ValueError):

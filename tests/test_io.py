@@ -64,6 +64,16 @@ class TestLoad:
             with pytest.raises(GameFormatError):
                 load_game(path)
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [{"n": True, "k": True}, {"n": True, "k": 1}, {"n": 1, "k": True}, {"n": 1, "k": [True]}],
+    )
+    def test_boolean_sizes_rejected(self, tmp_path, sizes):
+        # JSON true would otherwise pass as the integer 1
+        path = write(tmp_path, {**sizes, "values": [0, 1]})
+        with pytest.raises(GameFormatError):
+            load_game(path)
+
     def test_size_guard(self, tmp_path):
         path = write(tmp_path, {"n": 30, "k": 3, "values": [0.0]})
         with pytest.raises(SizeLimitError):
