@@ -1,25 +1,16 @@
-"""Importance and interaction indices for multilevel games (k-ary capacities)."""
+"""Importance and interaction indices for multilevel games (k-ary capacities).
+
+The package root holds the paper's objects; table helpers, game
+transforms and axiom partners are imported from their own modules.
+"""
 
 from .game import (
-    Coalition,
-    LatticePoint,
     MultichoiceGame,
     SizeLimitError,
-    add_games,
-    check_table_size,
-    decode_index,
-    discrete_derivative,
-    encode_index,
     extend_heterogeneous,
     is_kary_capacity,
-    kernel,
     min_game,
-    permute_attributes,
     random_game,
-    reduce_group,
-    restrict_absent,
-    restrict_present_top,
-    support,
 )
 from .indices import (
     IndexReport,
@@ -31,7 +22,6 @@ from .indices import (
     interaction_recursive,
     interaction_via_derivatives,
     lattice_point_interaction,
-    shapley_coefficient,
 )
 from .choquet import (
     IntegralEstimate,
@@ -42,41 +32,25 @@ from .choquet import (
     interaction_cellsum,
     section_capacity,
 )
-from .verify import (
-    AXIOMS,
-    VerificationReport,
-    check_lemma4,
-    efficiency_rhs,
-    make_invariance_partner,
-    make_null_extension,
-    verify_axiom,
-)
+from .verify import AXIOMS, VerificationReport, check_lemma4, verify_axiom
 from .io import GameFormatError, load_game, save_game
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AXIOMS",
-    "Coalition",
     "GameFormatError",
     "IndexReport",
     "IntegralEstimate",
-    "LatticePoint",
     "MultichoiceGame",
     "SectionCapacity",
     "SizeLimitError",
     "VerificationReport",
-    "add_games",
     "check_lemma4",
-    "check_table_size",
     "choquet_capacity",
     "choquet_kary",
     "classical_interaction",
     "classical_shapley",
-    "decode_index",
-    "discrete_derivative",
-    "efficiency_rhs",
-    "encode_index",
     "extend_heterogeneous",
     "importance",
     "integral_check",
@@ -86,20 +60,11 @@ __all__ = [
     "interaction_recursive",
     "interaction_via_derivatives",
     "is_kary_capacity",
-    "kernel",
     "lattice_point_interaction",
     "load_game",
-    "make_invariance_partner",
-    "make_null_extension",
     "min_game",
-    "permute_attributes",
     "random_game",
-    "reduce_group",
-    "restrict_absent",
-    "restrict_present_top",
     "save_game",
     "section_capacity",
-    "shapley_coefficient",
-    "support",
     "verify_axiom",
 ]

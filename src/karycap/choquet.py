@@ -100,7 +100,7 @@ def choquet_capacity(mu: SectionCapacity, w: Sequence[float]) -> float:
     arr = np.asarray(w, dtype=np.float64)
     if arr.shape != (mu.n,):
         raise ValueError(f"point has {arr.size} coordinates, expected {mu.n}")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError(f"coordinates of {tuple(w)} must lie in [0, 1]")
     return float(_choquet_batch(mu.mu, arr[None, :], mu.n)[0])
 
@@ -122,7 +122,7 @@ def choquet_kary(v: MultichoiceGame, z: Sequence[float]) -> float:
     arr = np.asarray(z, dtype=np.float64)
     if arr.shape != (v.n,):
         raise ValueError(f"point has {arr.size} coordinates, expected {v.n}")
-    if np.any(arr < 0.0) or np.any(arr > v.k):
+    if not np.all((arr >= 0.0) & (arr <= v.k)):
         raise ValueError(f"coordinates of {tuple(z)} must lie in [0, {v.k}]")
     q = tuple(min(int(math.floor(zi)), v.k - 1) for zi in arr)
     return _eval_in_cell(v, q, arr)

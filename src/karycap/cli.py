@@ -18,10 +18,15 @@ from typing import Sequence
 
 from .choquet import choquet_kary, integral_check
 from .game import MultichoiceGame, is_kary_capacity
-from .indices import METHODS, interaction, interaction_all_upto, interaction_by_method
+from .indices import (
+    METHODS,
+    importance,
+    interaction,
+    interaction_all_upto,
+    interaction_by_method,
+)
 from .io import GameFormatError, load_game, save_game
-from .verify import AXIOMS, verify_axiom
-from . import indices, verify as _verify_mod
+from .verify import AXIOMS, efficiency_rhs, verify_axiom
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -150,8 +155,8 @@ def cmd_info(args) -> int:
 
 def cmd_importance(args) -> int:
     game = _load(args)
-    phis = [indices.importance(game, i, args.limit) for i in range(1, game.n + 1)]
-    rhs = _verify_mod.efficiency_rhs(game)
+    phis = [importance(game, i, args.limit) for i in range(1, game.n + 1)]
+    rhs = efficiency_rhs(game)
     doc = {
         "importance": phis,
         "efficiency_rhs": rhs,

@@ -169,19 +169,7 @@ def interaction_recursive(
 
 def classical_shapley(v: MultichoiceGame, i: int) -> float:
     """Shapley value of attribute i in a two-level (k = 1) game."""
-    if v.k != 1:
-        raise ValueError(f"defined for k = 1 games only, got k = {v.k}")
-    (i,) = members_tuple((i,), v.n)
-    n = v.n
-    others = [p for p in range(n) if p != i - 1]
-    bit = 1 << (i - 1)
-    terms = []
-    for s in range(n):
-        coeff = float(Fraction(math.factorial(n - s - 1) * math.factorial(s), math.factorial(n)))
-        for S in combinations(others, s):
-            mask = sum(1 << p for p in S)
-            terms.append(coeff * (v.values[mask | bit] - v.values[mask]))
-    return math.fsum(terms)
+    return classical_interaction(v, (i,))
 
 
 def classical_interaction(v: MultichoiceGame, S: Iterable[int]) -> float:

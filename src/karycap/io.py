@@ -52,7 +52,6 @@ def load_game(
         for ki in k_field:
             expected *= ki + 1
         values, offset = _values_array(values, expected, normalize)
-        check_table_size(n, max(k_field), limit_bits)
         game = extend_heterogeneous(values, k_field, limit_bits=limit_bits)
         if offset:
             game = MultichoiceGame(

@@ -11,7 +11,7 @@ means the whole trial batch stayed within bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -48,10 +48,10 @@ class Failure:
 class VerificationReport:
     axiom: str
     trials: int
-    failures: list[Failure] = field(default_factory=list)
     max_gap: float = 0.0
     passed: bool = True
     note: str = ""
+    failures: list[Failure] = field(default_factory=list)
 
     def record(self, tol: float, seed: int, subject: tuple, lhs: float, rhs: float) -> None:
         gap = abs(lhs - rhs)
@@ -61,23 +61,7 @@ class VerificationReport:
             self.passed = False
 
     def as_dict(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "trials": self.trials,
-            "max_gap": self.max_gap,
-            "passed": self.passed,
-            "note": self.note,
-            "failures": [
-                {
-                    "seed": f.seed,
-                    "subject": list(f.subject),
-                    "lhs": f.lhs,
-                    "rhs": f.rhs,
-                    "gap": f.gap,
-                }
-                for f in self.failures
-            ],
-        }
+        return asdict(self)
 
 
 def make_null_extension(

@@ -15,7 +15,6 @@ from karycap import (
     choquet_kary,
     classical_interaction,
     classical_shapley,
-    efficiency_rhs,
     importance,
     integral_check,
     interaction,
@@ -29,6 +28,7 @@ from karycap import (
     verify_axiom,
 )
 from karycap.choquet import _eval_in_cell
+from karycap.verify import efficiency_rhs
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:

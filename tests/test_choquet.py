@@ -96,6 +96,8 @@ class TestChoquetCapacity:
         mu = self._mu(0.2, 0.5, 1.0)
         with pytest.raises(ValueError):
             choquet_capacity(mu, (1.2, 0.0))
+        with pytest.raises(ValueError, match="must lie in"):
+            choquet_capacity(mu, (float("nan"), 0.5))
 
 
 class TestChoquetKary:
@@ -147,6 +149,8 @@ class TestChoquetKary:
             choquet_kary(m2, (2.1, 0.0))
         with pytest.raises(ValueError):
             choquet_kary(m2, (-0.1, 0.0))
+        with pytest.raises(ValueError, match="must lie in"):
+            choquet_kary(m2, (float("nan"), 0.5))
 
 
 class TestCellSum:

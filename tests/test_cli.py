@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +142,8 @@ class TestChoquet:
     def test_out_of_range(self, capsys, min2_path):
         code, _, err = run(capsys, "choquet", min2_path, "--point", "2.5,0")
         assert code == 1
+        code, _, err = run(capsys, "choquet", min2_path, "--point", "nan,0.5")
+        assert code == 1 and "must lie in" in err
 
 
 class TestVerify:
@@ -216,8 +219,8 @@ class TestConvert:
         out2 = str(tmp_path / "b.json")
         assert main(["convert", src, "--out", out1]) == 0
         assert main(["convert", out1, "--out", out2]) == 0
-        assert open(out1).read() == open(out2).read()
-        reloaded = json.loads(open(out2).read())
+        assert Path(out1).read_text() == Path(out2).read_text()
+        reloaded = json.loads(Path(out2).read_text())
         assert np.array_equal(np.asarray(reloaded["values"]), game.values)
 
     def test_heterogeneous_to_canonical(self, capsys, tmp_path):
@@ -226,7 +229,7 @@ class TestConvert:
         src.write_text(json.dumps(doc))
         dst = str(tmp_path / "canon.json")
         assert main(["convert", str(src), "--out", dst]) == 0
-        canon = json.loads(open(dst).read())
+        canon = json.loads(Path(dst).read_text())
         assert canon["k"] == 2 and len(canon["values"]) == 9
 
     def test_write_to_stdout(self, capsys, min2_path):
@@ -249,4 +252,4 @@ class TestExitCodes:
         out_path = str(tmp_path / "report.json")
         code, out, _ = run(capsys, "importance", min2_path, "--out", out_path)
         assert code == 0 and out == ""
-        assert json.loads(open(out_path).read())["importance"] == [2.0, 2.0]
+        assert json.loads(Path(out_path).read_text())["importance"] == [2.0, 2.0]

@@ -8,22 +8,25 @@ from hypothesis import given, strategies as st
 from karycap import (
     MultichoiceGame,
     SizeLimitError,
-    add_games,
-    decode_index,
-    discrete_derivative,
-    encode_index,
     extend_heterogeneous,
     is_kary_capacity,
-    kernel,
     min_game,
-    permute_attributes,
     random_game,
+)
+from karycap.game import (
+    add_games,
+    corners,
+    decode_index,
+    digits,
+    discrete_derivative,
+    encode_index,
+    kernel,
+    permute_attributes,
     reduce_group,
     restrict_absent,
     restrict_present_top,
     support,
 )
-from karycap.game import corners, digits
 from conftest import delta_recursive
 
 

@@ -8,7 +8,6 @@ import pytest
 from karycap import (
     MultichoiceGame,
     SizeLimitError,
-    add_games,
     classical_interaction,
     classical_shapley,
     importance,
@@ -17,11 +16,11 @@ from karycap import (
     interaction_recursive,
     interaction_via_derivatives,
     lattice_point_interaction,
-    make_null_extension,
     random_game,
-    shapley_coefficient,
 )
-from karycap.indices import METHODS, interaction_by_method
+from karycap.game import add_games
+from karycap.indices import METHODS, interaction_by_method, shapley_coefficient
+from karycap.verify import make_null_extension
 from conftest import assert_close, brute_shapley, dividend_interaction, unanimity
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ class TestSaveRoundTrip:
         # a second write is byte-identical
         path2 = str(tmp_path / "out2.json")
         save_game(again, path2)
-        assert open(path).read() == open(path2).read()
+        assert Path(path).read_text() == Path(path2).read_text()
 
     def test_min_game_round_trip(self, tmp_path, m2):
         path = str(tmp_path / "m2.json")

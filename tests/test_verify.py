@@ -7,15 +7,13 @@ from karycap import (
     AXIOMS,
     MultichoiceGame,
     check_lemma4,
-    efficiency_rhs,
     importance,
     interaction,
-    make_invariance_partner,
-    make_null_extension,
     min_game,
     random_game,
     verify_axiom,
 )
+from karycap.verify import efficiency_rhs, make_invariance_partner, make_null_extension
 from conftest import assert_close
 
 
@@ -132,7 +130,7 @@ class TestVerifyAxiom:
         assert total == 4.0 == efficiency_rhs(m2)
 
     def test_recursion_hand_example(self, m2):
-        from karycap import restrict_absent, restrict_present_top
+        from karycap.game import restrict_absent, restrict_present_top
 
         lhs = interaction(m2, (1, 2))
         rhs = importance(restrict_present_top(m2, 2), 1) - importance(
