@@ -14,7 +14,6 @@ from .game import (
 )
 from .indices import (
     IndexReport,
-    classical_interaction,
     classical_shapley,
     importance,
     interaction,
@@ -28,6 +27,7 @@ from .choquet import (
     SectionCapacity,
     choquet_capacity,
     choquet_kary,
+    classical_interaction,
     integral_check,
     interaction_cellsum,
     section_capacity,

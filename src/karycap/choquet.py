@@ -10,14 +10,18 @@ The interaction index of a coalition splits cell by cell: it equals the
 sum over all cells of the classical interaction index of the section
 capacity, and likewise the integral of the corresponding mixed partial
 derivative of the extension over the whole box.  Both identities are
-implemented here as independent numerical checks.
+implemented here as independent numerical checks, on top of the classical
+(k = 1) interaction index and one gather of section capacities per batch
+of cells.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from fractions import Fraction
+from itertools import combinations
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,8 +33,8 @@ from .game import (
     digits,
     encode_index,
     members_tuple,
+    nonempty_members,
 )
-from .indices import classical_interaction
 
 
 @dataclass(frozen=True)
@@ -64,17 +68,28 @@ class SectionCapacity:
         return MultichoiceGame(self.n, 1, self.mu)
 
 
+def _sections(v: MultichoiceGame, bases: np.ndarray) -> Iterator[tuple[float, np.ndarray]]:
+    """Game value at the base and section capacity of each cell, in the order of ``bases``.
+
+    ``bases`` holds one row of levels per cell.  The capacity of the cell at
+    base b holds v(b raised by one on the coalition) - v(b) by coalition
+    mask, so its entry 0 is 0.  Corner values are gathered for a batch of
+    cells at a time, at most 2**16 table entries, which bounds the memory.
+    """
+    strides = [(v.k + 1) ** i for i in range(v.n)]
+    _, offsets = corners(strides)  # by coalition mask
+    step = max(1, 2**16 >> v.n)
+    for i in range(0, len(bases), step):
+        corner_values = v.values[(bases[i : i + step] @ strides)[:, None] + offsets]
+        yield from zip(corner_values[:, 0], corner_values - corner_values[:, :1])
+
+
 def section_capacity(v: MultichoiceGame, q: Sequence[int]) -> SectionCapacity:
     """Capacity of the unit cell with base q, q in {0..k-1}^n."""
-    if len(q) != v.n:
-        raise ValueError(f"cell base has {len(q)} components, expected {v.n}")
-    if any(not 0 <= qi <= v.k - 1 for qi in q):
-        raise ValueError(f"cell base {tuple(q)} must lie in [0, {v.k - 1}]^n")
-    base = encode_index(q, v.n, v.k)
-    _, offsets = corners([(v.k + 1) ** i for i in range(v.n)])  # by coalition mask
-    mu = v.values[base + offsets] - v.values[base]
-    mu[0] = 0.0
-    return SectionCapacity(v.n, tuple(int(qi) for qi in q), mu)
+    encode_index(q, v.n, v.k - 1)  # q must be a point of the cell grid {0..k-1}^n
+    q = tuple(int(qi) for qi in q)
+    ((_, mu),) = _sections(v, np.array([q]))
+    return SectionCapacity(v.n, q, mu)
 
 
 def _choquet_batch(mu: np.ndarray, W: np.ndarray, n: int) -> np.ndarray:
@@ -128,24 +143,48 @@ def choquet_kary(v: MultichoiceGame, z: Sequence[float]) -> float:
     return _eval_in_cell(v, q, arr)
 
 
+def classical_interaction(v: MultichoiceGame, S: Iterable[int]) -> float:
+    """Interaction index of coalition S in a two-level (k = 1) game."""
+    if v.k != 1:
+        raise ValueError(f"defined for k = 1 games only, got k = {v.k}")
+    members = nonempty_members(S, v.n)
+    n, s = v.n, len(members)
+    others = [p for p in range(n) if p + 1 not in set(members)]
+    inner_masks = [
+        ((-1.0) ** (s - a), sum(1 << (i - 1) for i in K))
+        for a in range(s + 1)
+        for K in combinations(members, a)
+    ]
+    terms = []
+    for t in range(len(others) + 1):
+        coeff = float(
+            Fraction(
+                math.factorial(n - t - s) * math.factorial(t),
+                math.factorial(n - s + 1),
+            )
+        )
+        for Tset in combinations(others, t):
+            tmask = sum(1 << p for p in Tset)
+            inner = math.fsum(sign * v.values[tmask | kmask] for sign, kmask in inner_masks)
+            terms.append(coeff * inner)
+    return math.fsum(terms)
+
+
 def interaction_cellsum(
     v: MultichoiceGame, T: Iterable[int], limit_bits: int | None = None
 ) -> float:
     """Interaction of T as a total of per-cell classical interactions.
 
-    Sums the classical interaction index of the section capacity over all
-    k**n unit cells; agrees with the closed-form index and serves as an
+    The classical interaction index is linear in the capacity, so the total
+    over all k**n unit cells of the index of each section capacity is the
+    index of the summed capacity: one :func:`classical_interaction` call on
+    that k = 1 game.  Agrees with the closed-form index and serves as an
     independent oracle for it.
     """
-    members = members_tuple(T, v.n)
-    if not members:
-        raise ValueError("T must be nonempty")
+    members = nonempty_members(T, v.n)
     check_query_size(v.k**v.n * 2**v.n, limit_bits)
-    terms = [
-        classical_interaction(section_capacity(v, q).as_game(), members)
-        for q in digits(v.k, v.n)  # every unit-cell base
-    ]
-    return math.fsum(terms)
+    total = sum(mu for _, mu in _sections(v, digits(v.k, v.n)))  # every unit cell
+    return classical_interaction(MultichoiceGame(v.n, 1, total), members)
 
 
 class IntegralEstimate(NamedTuple):
@@ -166,12 +205,10 @@ def integral_check(
     For |T| = 1 this integrates the almost-everywhere partial derivative
     cell by cell.  Returns the estimate and its standard error.
     """
-    members = members_tuple(T, v.n)
-    if not members:
-        raise ValueError("T must be nonempty")
+    members = nonempty_members(T, v.n)
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    n, k, t = v.n, v.k, len(members)
+    n = v.n
     comp = [i for i in range(1, n + 1) if i not in set(members)]
     if comp and samples < 2:
         raise ValueError("need at least two samples to estimate a standard error")
@@ -182,11 +219,9 @@ def integral_check(
 
     comp_idx = [i - 1 for i in comp]
     means, variances = [], []
-    for ci, q in enumerate(digits(k, n)):
-        mu = section_capacity(v, q)
-        vq = v.values[encode_index(q, n, k)]
+    for ci, (vq, mu) in enumerate(_sections(v, digits(v.k, n))):
         if not comp:
-            means.append(math.fsum(signs * (vq + _choquet_batch(mu.mu, points, n))))
+            means.append(math.fsum(signs * (vq + _choquet_batch(mu, points, n))))
             variances.append(0.0)
             continue
         rng = np.random.default_rng((seed, ci))
@@ -195,7 +230,7 @@ def integral_check(
         for sign, lv in zip(signs, points):
             W = np.broadcast_to(lv, (samples, n)).copy()
             W[:, comp_idx] = U
-            g += sign * (vq + _choquet_batch(mu.mu, W, n))
+            g += sign * (vq + _choquet_batch(mu, W, n))
         means.append(float(g.mean()))
         variances.append(float(g.var(ddof=1)))
     estimate = math.fsum(means)

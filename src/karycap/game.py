@@ -91,7 +91,7 @@ def encode_index(x: Sequence[int], n: int, k: int) -> int:
         raise ValueError(f"profile has {len(x)} components, expected {n}")
     idx = 0
     for i in range(n - 1, -1, -1):
-        xi = x[i]
+        xi = _integer(x[i], "profile component")
         if not 0 <= xi <= k:
             raise ValueError(f"component {i + 1} is {xi}, outside [0, {k}]")
         idx = idx * (k + 1) + xi
@@ -119,19 +119,27 @@ def kernel(x: Sequence[int], k: int) -> Coalition:
     return tuple(i + 1 for i, xi in enumerate(x) if xi == k)
 
 
-def _member(i) -> int:
-    if not isinstance(i, (bool, np.bool_)) and hasattr(type(i), "__index__"):
-        return operator.index(i)
-    raise ValueError(f"coalition member {i!r} is not an integer")
+def _integer(x, what: str) -> int:
+    if not isinstance(x, (bool, np.bool_)) and hasattr(type(x), "__index__"):
+        return operator.index(x)
+    raise ValueError(f"{what} {x!r} is not an integer")
 
 
 def members_tuple(T: Iterable[int], n: int) -> Coalition:
     """Validate a coalition: distinct 1-based integer attribute indices, sorted."""
-    members = tuple(sorted(_member(i) for i in T))
+    members = tuple(sorted(_integer(i, "coalition member") for i in T))
     if any(i < 1 or i > n for i in members):
         raise ValueError(f"coalition {members} has indices outside 1..{n}")
     if len(set(members)) != len(members):
         raise ValueError(f"coalition {members} has duplicate members")
+    return members
+
+
+def nonempty_members(T: Iterable[int], n: int) -> Coalition:
+    """:func:`members_tuple` of a coalition that must have a member."""
+    members = members_tuple(T, n)
+    if not members:
+        raise ValueError("coalition must be nonempty")
     return members
 
 
@@ -208,9 +216,7 @@ def discrete_derivative(v: MultichoiceGame, T: Iterable[int], x: Sequence[int]) 
     Requires x_i < k for every i in T; equals the iterated one-step
     difference along the attributes of T.
     """
-    members = members_tuple(T, v.n)
-    if not members:
-        raise ValueError("T must be nonempty")
+    members = nonempty_members(T, v.n)
     if len(x) != v.n:
         raise ValueError(f"profile has {len(x)} components, expected {v.n}")
     for i in members:
@@ -303,9 +309,7 @@ def reduce_group(
     in ``meta['macro_members']``.
     """
     t_members = members_tuple(T, v.n)
-    a_members = members_tuple(A, v.n)
-    if not a_members:
-        raise ValueError("A must be nonempty")
+    a_members = nonempty_members(A, v.n)
     if not set(a_members) <= set(t_members):
         raise ValueError(f"A={a_members} is not contained in T={t_members}")
     kept = [i for i in range(1, v.n + 1) if i not in set(t_members)]

@@ -32,13 +32,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .choquet import classical_interaction, interaction_cellsum
 from .game import (
     Coalition,
     MultichoiceGame,
     check_query_size,
     corners,
     digits,
+    encode_index,
     members_tuple,
+    nonempty_members,
     reduce_group,
     support,
 )
@@ -113,9 +116,7 @@ def interaction(v: MultichoiceGame, T: Iterable[int], limit_bits: int | None = N
     values disjunctive (max-like) behaviour.  For |T| = 1 this is exactly
     :func:`importance`.
     """
-    members = members_tuple(T, v.n)
-    if not members:
-        raise ValueError("T must be nonempty")
+    members = nonempty_members(T, v.n)
     return _closed_form(v, members, limit_bits)
 
 
@@ -128,9 +129,7 @@ def interaction_via_derivatives(
     all T-components below the top level; agrees with :func:`interaction`
     up to rounding and serves as an independent oracle for it.
     """
-    members = members_tuple(T, v.n)
-    if not members:
-        raise ValueError("T must be nonempty")
+    members = nonempty_members(T, v.n)
     n, k, t = v.n, v.k, len(members)
     check_query_size((k + 1) ** (n - t) * k**t * 2**t, limit_bits)
     base, cid = _complement_profiles(v, members)
@@ -153,9 +152,7 @@ def interaction_recursive(
     lockstep and T without A is frozen at level 0.  Singleton base case
     is the importance index itself.
     """
-    members = members_tuple(T, v.n)
-    if not members:
-        raise ValueError("T must be nonempty")
+    members = nonempty_members(T, v.n)
     t = len(members)
     if t == 1:
         return importance(v, members[0], limit_bits)
@@ -172,35 +169,6 @@ def classical_shapley(v: MultichoiceGame, i: int) -> float:
     return classical_interaction(v, (i,))
 
 
-def classical_interaction(v: MultichoiceGame, S: Iterable[int]) -> float:
-    """Interaction index of coalition S in a two-level (k = 1) game."""
-    if v.k != 1:
-        raise ValueError(f"defined for k = 1 games only, got k = {v.k}")
-    members = members_tuple(S, v.n)
-    if not members:
-        raise ValueError("S must be nonempty")
-    n, s = v.n, len(members)
-    others = [p for p in range(n) if p + 1 not in set(members)]
-    inner_masks = [
-        ((-1.0) ** (s - a), sum(1 << (i - 1) for i in K))
-        for a in range(s + 1)
-        for K in combinations(members, a)
-    ]
-    terms = []
-    for t in range(len(others) + 1):
-        coeff = float(
-            Fraction(
-                math.factorial(n - t - s) * math.factorial(t),
-                math.factorial(n - s + 1),
-            )
-        )
-        for Tset in combinations(others, t):
-            tmask = sum(1 << p for p in Tset)
-            inner = math.fsum(sign * v.values[tmask | kmask] for sign, kmask in inner_masks)
-            terms.append(coeff * inner)
-    return math.fsum(terms)
-
-
 def lattice_point_interaction(v: MultichoiceGame, x: Sequence[int]) -> float:
     """Pointwise interaction at a lattice profile x.
 
@@ -210,8 +178,7 @@ def lattice_point_interaction(v: MultichoiceGame, x: Sequence[int]) -> float:
     them sit at the top.  At k = 1 and x the indicator of a coalition S
     this is the classical interaction index of S.
     """
-    if len(x) != v.n:
-        raise ValueError(f"profile has {len(x)} components, expected {v.n}")
+    x_index = encode_index(x, v.n, v.k)
     J = support(x)
     if not J:
         raise ValueError("x must have nonempty support")
@@ -219,7 +186,7 @@ def lattice_point_interaction(v: MultichoiceGame, x: Sequence[int]) -> float:
     j = len(J)
     outside = [i for i in range(1, n + 1) if i not in J]
     signs, cell = corners([(k + 1) ** (i - 1) for i in J])
-    base = sum((x[i - 1] - 1) * (k + 1) ** (i - 1) for i in J)
+    base = x_index - sum((k + 1) ** (i - 1) for i in J)
     # the outside attributes sweep {0, k}; h counts those at the top
     tops = digits(2, len(outside))
     sweep = base + tops @ np.array([k * (k + 1) ** (i - 1) for i in outside], dtype=np.int64)
@@ -264,16 +231,11 @@ def interaction_by_method(
     Each method's function is looked up by its module-level name at call
     time, so a rebinding of that name (a wrapper, say) is honoured.
     """
-    if method == "cellsum":
-        # choquet imports classical_interaction from here, so a module-level
-        # import of choquet would be circular
-        from .choquet import interaction_cellsum
-
-        return interaction_cellsum(v, T, limit_bits)
     compute = {
         "closed_form": interaction,
         "derivative_sum": interaction_via_derivatives,
         "recursive": interaction_recursive,
+        "cellsum": interaction_cellsum,
     }.get(method)
     if compute is None:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")

@@ -138,8 +138,9 @@ def verify_axiom(
 
     Draws fresh games per trial (or reuses ``game`` as the base subject
     while still drawing random partners, permutations and positions) and
-    records every equation violation above ``tol``.  Deterministic for a
-    given (axiom, trials, seed, n, k, game).
+    records every equation violation above ``tol * max(1, max|v|)``, v the
+    trial's base game.  Deterministic for a given (axiom, trials, seed, n,
+    k, game).
     """
     if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r}, expected one of {AXIOMS}")
@@ -162,7 +163,7 @@ def verify_axiom(
         v = game if game is not None else random_game(
             int(rng.integers(0, 2**31)), n, k, "general"
         )
-        checker(report, rng, ts, v, tol)
+        checker(report, rng, ts, v, tol * max(1.0, float(np.abs(v.values).max())))
     return report
 
 

@@ -1,12 +1,16 @@
+import math
 from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from karycap import (
+    MultichoiceGame,
     SectionCapacity,
     choquet_capacity,
     choquet_kary,
+    classical_interaction,
     integral_check,
     interaction,
     interaction_cellsum,
@@ -58,6 +62,19 @@ class TestSectionCapacity:
     def test_rejects_top_component(self, m2):
         with pytest.raises(ValueError):
             section_capacity(m2, (2, 0))
+
+    @pytest.mark.parametrize(
+        "q, message",
+        [
+            ((True, 0), "not an integer"),
+            ((0.5, 0), "not an integer"),
+            ((-1, 0), "outside"),
+            ((1,), "components"),
+        ],
+    )
+    def test_rejects_bad_cell_base(self, m2, q, message):
+        with pytest.raises(ValueError, match=message):
+            section_capacity(m2, q)
 
 
 class TestChoquetCapacity:
@@ -155,8 +172,6 @@ class TestChoquetKary:
 
 class TestCellSum:
     def test_min_game_per_cell_contributions(self, m2):
-        from karycap import classical_interaction
-
         contributions = [
             classical_interaction(section_capacity(m2, q).as_game(), (1, 2))
             for q in [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -169,8 +184,6 @@ class TestCellSum:
         assert_close(interaction_cellsum(v, (1, 2)), 0.0, 1e-12)
 
     def test_two_level_reduces_to_classical(self):
-        from karycap import classical_interaction
-
         v = random_game(29, 4, 1, "general")
         for t in range(1, 5):
             for T in combinations(range(1, 5), t):
@@ -185,6 +198,32 @@ class TestCellSum:
                 for t in range(1, n + 1):
                     for T in combinations(range(1, n + 1), t):
                         assert_close(interaction_cellsum(v, T), interaction(v, T))
+
+    def test_grid_larger_than_one_gather(self):
+        v = random_game(77, 7, 3, "general")  # 2187 cells of 128 corners each
+        for T in [(1,), (2, 5), (1, 3, 7)]:
+            assert_close(interaction_cellsum(v, T), interaction(v, T))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.sampled_from(["general", "monotone", "additive"]),
+        st.sampled_from([1e-6, 1.0, 1e6]),
+        st.integers(0, 2**31),
+        st.data(),
+    )
+    def test_matches_per_cell_route(self, n, k, kind, scale, seed, data):
+        # the per-cell sum is the definition; the cell sum sums the capacities first
+        v = random_game(seed, n, k, kind)
+        v = MultichoiceGame(n, k, v.values * scale)
+        T = data.draw(st.sets(st.integers(1, n), min_size=1))
+        per_cell = math.fsum(
+            classical_interaction(section_capacity(v, q).as_game(), T)
+            for q in product(range(k), repeat=n)
+        )
+        bound = 1e-12 * max(1.0, float(np.abs(v.values).max()))
+        assert_close(interaction_cellsum(v, T), per_cell, bound)
 
 
 class TestIntegralCheck:

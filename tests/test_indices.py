@@ -13,6 +13,7 @@ from karycap import (
     importance,
     interaction,
     interaction_all_upto,
+    interaction_cellsum,
     interaction_recursive,
     interaction_via_derivatives,
     lattice_point_interaction,
@@ -97,9 +98,12 @@ class TestInteraction:
     def test_classic_two_player_pair(self, classic2):
         assert_close(interaction(classic2, (1, 2)), 2.0, 1e-12)
 
-    def test_rejects_empty(self, m2):
-        with pytest.raises(ValueError):
-            interaction(m2, ())
+    def test_rejects_empty(self, m2, classic2):
+        for method in METHODS:
+            with pytest.raises(ValueError, match="nonempty"):
+                interaction_by_method(m2, (), method)
+        with pytest.raises(ValueError, match="nonempty"):
+            classical_interaction(classic2, ())
 
     @pytest.mark.parametrize("member", [1.7, True], ids=["float", "bool"])
     def test_rejects_non_integer_member(self, m2, member):
@@ -258,6 +262,20 @@ class TestLatticePointInteraction:
         with pytest.raises(ValueError):
             lattice_point_interaction(m2, (0, 0))
 
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ((2, -1), "outside"),
+            ((3, 0), "outside"),
+            ((1.5, 0), "not an integer"),
+            ((True, 1), "not an integer"),
+            ((1,), "components"),
+        ],
+    )
+    def test_rejects_bad_profile(self, m2, x, message):
+        with pytest.raises(ValueError, match=message):
+            lattice_point_interaction(m2, x)
+
 
 class TestLinearity:
     def test_index_is_linear(self):
@@ -307,7 +325,13 @@ class TestReport:
 
     def test_dispatcher_matches_each_route(self):
         v = random_game(72, 3, 2, "general")
-        routes = [interaction, interaction_via_derivatives, interaction_recursive]
+        routes = [
+            interaction,
+            interaction_via_derivatives,
+            interaction_recursive,
+            interaction_cellsum,
+        ]
+        assert len(routes) == len(METHODS)
         for method, route in zip(METHODS, routes):
             assert interaction_by_method(v, (1, 3), method) == route(v, (1, 3))
         with pytest.raises(ValueError, match="method must be one of"):
@@ -329,5 +353,5 @@ class TestReport:
 
     def test_as_dict_round(self, m2):
         doc = interaction_all_upto(m2, 2).as_dict()
-        assert doc["interactions"]["1+2"] == doc["interactions"]["1+2"]
+        assert doc["interactions"]["1+2"] == 2.0
         assert doc["importance"] == [2.0, 2.0]

@@ -148,6 +148,21 @@ class TestVerifyAxiom:
         for axiom in AXIOMS:
             assert verify_axiom(axiom, 4, 9, 2, 2, game=m2).passed
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tolerance_scales_with_the_game(self, seed):
+        # rounding grows with the values: gaps here reach 5.6e-9, above tol = 1e-9
+        v = random_game(seed, 5, 3)
+        scaled = MultichoiceGame(5, 3, v.values * 1e6)
+        for axiom in AXIOMS:
+            assert verify_axiom(axiom, 10, seed, 5, 3, game=scaled).passed
+
+    def test_tolerance_stays_absolute_below_unit_scale(self):
+        v = random_game(4, 4, 3)
+        half = MultichoiceGame(4, 3, v.values * 0.5)
+        gap = verify_axiom("L", 5, 4, 4, 3, game=half).max_gap
+        assert gap > 0.0
+        assert verify_axiom("L", 5, 4, 4, 3, tol=1.5 * gap, game=half).passed
+
     def test_failures_recorded_under_impossible_tolerance(self):
         report = verify_axiom("E", 5, 11, 3, 2, tol=-1.0)
         assert not report.passed
