@@ -76,7 +76,7 @@ def _sections(v: MultichoiceGame, bases: np.ndarray) -> Iterator[tuple[float, np
     mask, so its entry 0 is 0.  Corner values are gathered for a batch of
     cells at a time, at most 2**16 table entries, which bounds the memory.
     """
-    strides = [(v.k + 1) ** i for i in range(v.n)]
+    strides = v.strides(range(1, v.n + 1))
     _, offsets = corners(strides)  # by coalition mask
     step = max(1, 2**16 >> v.n)
     for i in range(0, len(bases), step):
@@ -193,7 +193,11 @@ class IntegralEstimate(NamedTuple):
 
 
 def integral_check(
-    v: MultichoiceGame, T: Iterable[int], samples: int, seed: int
+    v: MultichoiceGame,
+    T: Iterable[int],
+    samples: int,
+    seed: int,
+    limit_bits: int | None = None,
 ) -> IntegralEstimate:
     """Monte-Carlo estimate of the box integral of the T-mixed derivative.
 
@@ -204,6 +208,9 @@ def integral_check(
     the result is deterministic and invariant to cell evaluation order.
     For |T| = 1 this integrates the almost-everywhere partial derivative
     cell by cell.  Returns the estimate and its standard error.
+
+    The k**n * 2**t Choquet evaluations per sample count against the query
+    guard; when T covers every attribute nothing is sampled, so they count once.
     """
     members = nonempty_members(T, v.n)
     if samples < 1:
@@ -212,6 +219,7 @@ def integral_check(
     comp = [i for i in range(1, n + 1) if i not in set(members)]
     if comp and samples < 2:
         raise ValueError("need at least two samples to estimate a standard error")
+    check_query_size(v.k**n * 2 ** len(members) * (samples if comp else 1), limit_bits)
 
     # corner offsets in a k = 1 table are coalition masks; unpack them to 0/1 points
     signs, masks = corners([1 << (i - 1) for i in members])

@@ -128,8 +128,6 @@ def _parse_set(text: str) -> tuple[int, ...]:
         members = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise UsageError(f'cannot parse coalition "{text}"; expected e.g. "1,3"')
-    if not members:
-        raise UsageError("coalition must be nonempty")
     return members
 
 
@@ -193,13 +191,7 @@ def cmd_choquet(args) -> int:
         z = [float(part) for part in args.point.split(",")]
     except ValueError:
         raise UsageError(f'cannot parse point "{args.point}"')
-    value = choquet_kary(game, z)
-    text = f"{value:.12g}"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            fp.write(text + "\n")
-    else:
-        print(text)
+    _write(f"{choquet_kary(game, z):.12g}\n", args)
     return 0
 
 
@@ -227,7 +219,7 @@ def cmd_verify(args) -> int:
 def cmd_integral_check(args) -> int:
     game = _load(args)
     T = _parse_set(args.set_)
-    est = integral_check(game, T, args.samples, args.seed)
+    est = integral_check(game, T, args.samples, args.seed, args.limit)
     closed = interaction(game, T, args.limit)
     gap = est.estimate - closed
     if est.std_error > 0.0:
@@ -258,6 +250,10 @@ def _emit(doc: dict, args) -> None:
         text = _to_csv(doc)
     else:
         text = json.dumps(doc, indent=2) + "\n"
+    _write(text, args)
+
+
+def _write(text: str, args) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fp:
             fp.write(text)

@@ -4,6 +4,11 @@ A game assigns a real value to every profile of attribute levels and maps
 the all-zeros profile to 0.  Attributes are numbered 1..n.  Value tables
 are stored densely in little-endian mixed-radix order: attribute 1 is the
 least significant digit, so profile x has flat index sum(x[i] * (k+1)**i).
+:class:`MultichoiceGame` alone knows this layout.  ``v.strides(members)``
+gives the flat-index step of each attribute, ``v.grid()`` views the table
+as an n-dimensional array whose axis i-1 carries the level of attribute i,
+and ``MultichoiceGame.from_grid`` builds a game from such an array; the
+game transforms below are slices, stacks and axis moves of that array.
 
 Games are immutable once built; every operation here is a pure function,
 so games can be shared freely across threads.
@@ -196,13 +201,24 @@ class MultichoiceGame:
         """All lattice profiles in canonical table order."""
         return _profiles(self.n, self.k)
 
-    def grid(self) -> np.ndarray:
-        """Table reshaped so that axis (n-1-i) indexes the level of attribute i+1."""
-        return self.values.reshape((self.k + 1,) * self.n)
+    @classmethod
+    def from_grid(cls, grid: np.ndarray, meta: dict | None = None) -> "MultichoiceGame":
+        """Game whose table is ``grid``, an array whose axis i-1 carries attribute i.
 
-    def _axis(self, i: int) -> int:
-        # grid() axis that carries 1-based attribute i
-        return self.n - i
+        Every axis must have the same length k + 1; :meth:`grid` is the inverse.
+        """
+        arr = np.asarray(grid, dtype=np.float64)
+        if len(set(arr.shape)) != 1:
+            raise ValueError(f"grid axes must all have one length, got shape {arr.shape}")
+        return cls(arr.ndim, arr.shape[0] - 1, arr.ravel(order="F"), meta or {})
+
+    def grid(self) -> np.ndarray:
+        """Read-only view of the table whose axis i-1 carries the level of attribute i."""
+        return self.values.reshape((self.k + 1,) * self.n, order="F")
+
+    def strides(self, members: Iterable[int]) -> list[int]:
+        """Flat-index step of each attribute in ``members``, as Python ints."""
+        return [(self.k + 1) ** (i - 1) for i in members]
 
 
 def min_game(n: int, k: int) -> MultichoiceGame:
@@ -222,7 +238,7 @@ def discrete_derivative(v: MultichoiceGame, T: Iterable[int], x: Sequence[int]) 
     for i in members:
         if x[i - 1] >= v.k:
             raise ValueError(f"attribute {i} already at top level in {tuple(x)}")
-    signs, offsets = corners([(v.k + 1) ** (i - 1) for i in members])
+    signs, offsets = corners(v.strides(members))
     return math.fsum(signs * v.values[encode_index(x, v.n, v.k) + offsets])
 
 
@@ -255,12 +271,11 @@ def extend_heterogeneous(
         raise ValueError(f"raw table length {raw.size}, expected {expected}")
     if raw[0] != 0.0:
         raise ValueError(f"raw value at the zero profile must be 0, got {raw[0]!r}")
-    # grid axis 0 carries attribute n; each axis reads its levels clamped to k_i
-    k_rev = k_list[::-1]
-    clamped = np.ix_(*(np.minimum(np.arange(k + 1), ki) for ki in k_rev))
-    vals = raw.reshape([ki + 1 for ki in k_rev])[clamped].ravel()
+    # axis i-1 carries attribute i and reads its levels clamped to k_i
+    clamped = np.ix_(*(np.minimum(np.arange(k + 1), ki) for ki in k_list))
+    grid = raw.reshape([ki + 1 for ki in k_list], order="F")[clamped]
     meta = {"k_list": tuple(k_list)} if (k_list != [k] * n) else {}
-    return MultichoiceGame(n, k, vals, meta)
+    return MultichoiceGame.from_grid(grid, meta)
 
 
 def is_kary_capacity(v: MultichoiceGame, tol: float = 1e-9) -> bool:
@@ -278,12 +293,8 @@ def restrict_absent(v: MultichoiceGame, S: Iterable[int]) -> MultichoiceGame:
     members = members_tuple(S, v.n)
     if len(members) == v.n:
         raise ValueError("cannot freeze every attribute; S must be a proper subset")
-    if not members:
-        return MultichoiceGame(v.n, v.k, v.values)
-    absent = set(members)
-    index = tuple(0 if (v.n - ax) in absent else slice(None) for ax in range(v.n))
-    vals = np.ascontiguousarray(v.grid()[index]).ravel()
-    return MultichoiceGame(v.n - len(members), v.k, vals)
+    index = tuple(0 if i in members else slice(None) for i in range(1, v.n + 1))
+    return MultichoiceGame.from_grid(v.grid()[index])
 
 
 def restrict_present_top(v: MultichoiceGame, i: int) -> MultichoiceGame:
@@ -294,8 +305,8 @@ def restrict_present_top(v: MultichoiceGame, i: int) -> MultichoiceGame:
     if v.n < 2:
         raise ValueError("need at least two attributes to restrict one away")
     (i,) = members_tuple((i,), v.n)
-    sliced = np.ascontiguousarray(np.take(v.grid(), v.k, axis=v._axis(i))).ravel()
-    return MultichoiceGame(v.n - 1, v.k, sliced - sliced[0])
+    sliced = v.grid()[(slice(None),) * (i - 1) + (v.k,)]  # a view, unlike np.take
+    return MultichoiceGame.from_grid(sliced - sliced.flat[0])
 
 
 def reduce_group(
@@ -312,25 +323,17 @@ def reduce_group(
     a_members = nonempty_members(A, v.n)
     if not set(a_members) <= set(t_members):
         raise ValueError(f"A={a_members} is not contained in T={t_members}")
-    kept = [i for i in range(1, v.n + 1) if i not in set(t_members)]
+    kept = [i for i in range(1, v.n + 1) if i not in t_members]
     grid = v.grid()
-    zero_set = set(t_members) - set(a_members)
-    a_set = set(a_members)
-    slices = []
-    for level in range(v.k + 1):
-        index = []
-        for ax in range(v.n):
-            attr = v.n - ax
-            if attr in a_set:
-                index.append(level)
-            elif attr in zero_set:
-                index.append(0)
-            else:
-                index.append(slice(None))
-        slices.append(np.ascontiguousarray(grid[tuple(index)]).ravel())
-    vals = np.concatenate(slices)
+    layers = [
+        grid[tuple(
+            level if i in a_members else 0 if i in t_members else slice(None)
+            for i in range(1, v.n + 1)
+        )]
+        for level in range(v.k + 1)
+    ]
     meta = {"macro_members": a_members, "kept": tuple(kept)}
-    return MultichoiceGame(len(kept) + 1, v.k, vals, meta)
+    return MultichoiceGame.from_grid(np.stack(layers, axis=-1), meta)
 
 
 def permute_attributes(v: MultichoiceGame, sigma: Sequence[int]) -> MultichoiceGame:
@@ -341,11 +344,7 @@ def permute_attributes(v: MultichoiceGame, sigma: Sequence[int]) -> MultichoiceG
     """
     if sorted(sigma) != list(range(1, v.n + 1)):
         raise ValueError(f"{tuple(sigma)} is not a permutation of 1..{v.n}")
-    axes = [0] * v.n
-    for p in range(v.n):  # 0-based old attribute p lands at sigma[p]-1
-        axes[v.n - 1 - (sigma[p] - 1)] = v.n - 1 - p
-    vals = np.ascontiguousarray(v.grid().transpose(axes)).ravel()
-    return MultichoiceGame(v.n, v.k, vals)
+    return MultichoiceGame.from_grid(np.moveaxis(v.grid(), range(v.n), [s - 1 for s in sigma]))
 
 
 def add_games(v: MultichoiceGame, w: MultichoiceGame, alpha: float = 1.0) -> MultichoiceGame:

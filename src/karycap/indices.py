@@ -73,7 +73,7 @@ def _complement_profiles(
     """
     comp = [i for i in range(1, v.n + 1) if i not in members]
     levels = digits(v.k + 1, len(comp))
-    base = levels @ np.array([(v.k + 1) ** (i - 1) for i in comp], dtype=np.int64)
+    base = levels @ np.array(v.strides(comp), dtype=np.int64)
     s_arr = np.count_nonzero(levels > 0, axis=1)
     kap_arr = np.count_nonzero(levels == v.k, axis=1)
     return base, s_arr * (v.n + 1) + kap_arr
@@ -93,7 +93,7 @@ def _closed_form(v: MultichoiceGame, members: Coalition, limit_bits: int | None)
     check_query_size((k + 1) ** (n - t) * 2**t, limit_bits)
     base, cid = _complement_profiles(v, members)
     terms = np.zeros(len(base))
-    for sign, off in zip(*corners([k * (k + 1) ** (i - 1) for i in members])):
+    for sign, off in zip(*corners([k * stride for stride in v.strides(members)])):
         terms += sign * v.values[base + off]
     return _combine_classes(n, t, cid, terms)
 
@@ -133,7 +133,7 @@ def interaction_via_derivatives(
     n, k, t = v.n, v.k, len(members)
     check_query_size((k + 1) ** (n - t) * k**t * 2**t, limit_bits)
     base, cid = _complement_profiles(v, members)
-    member_strides = np.array([(k + 1) ** (i - 1) for i in members], dtype=np.int64)
+    member_strides = np.array(v.strides(members), dtype=np.int64)
     # bases of the k**t unit cells inside the T-block
     grid = base[:, None] + (digits(k, t) @ member_strides)[None, :]
     deltas = np.zeros(grid.shape)
@@ -185,11 +185,11 @@ def lattice_point_interaction(v: MultichoiceGame, x: Sequence[int]) -> float:
     n, k = v.n, v.k
     j = len(J)
     outside = [i for i in range(1, n + 1) if i not in J]
-    signs, cell = corners([(k + 1) ** (i - 1) for i in J])
-    base = x_index - sum((k + 1) ** (i - 1) for i in J)
+    signs, cell = corners(v.strides(J))
+    base = x_index - sum(v.strides(J))
     # the outside attributes sweep {0, k}; h counts those at the top
     tops = digits(2, len(outside))
-    sweep = base + tops @ np.array([k * (k + 1) ** (i - 1) for i in outside], dtype=np.int64)
+    sweep = base + tops @ np.array([k * stride for stride in v.strides(outside)], dtype=np.int64)
     deltas = np.array([math.fsum(signs * v.values[off + cell]) for off in sweep])
     h_arr = tops.sum(axis=1)
     return math.fsum(

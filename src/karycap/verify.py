@@ -75,12 +75,8 @@ def make_null_extension(
     if not 1 <= position <= v.n + 1:
         raise ValueError(f"position {position} outside 1..{v.n + 1}")
     check_table_size(v.n + 1, v.k, limit_bits)
-    axis = v.n + 1 - position  # axis of the new attribute in the extended grid
-    expanded = np.expand_dims(v.grid(), axis=axis)
-    shape = list(expanded.shape)
-    shape[axis] = v.k + 1
-    vals = np.ascontiguousarray(np.broadcast_to(expanded, shape)).ravel()
-    return MultichoiceGame(v.n + 1, v.k, vals)
+    expanded = np.expand_dims(v.grid(), axis=position - 1)
+    return MultichoiceGame.from_grid(np.broadcast_to(expanded, (v.k + 1,) * (v.n + 1)))
 
 
 def make_invariance_partner(v: MultichoiceGame, i: int) -> MultichoiceGame:
@@ -95,14 +91,13 @@ def make_invariance_partner(v: MultichoiceGame, i: int) -> MultichoiceGame:
         raise ValueError("the increment-shift relations degenerate for k < 2")
     (i,) = members_tuple((i,), v.n)
     grid = v.grid()
-    ax = v._axis(i)
+    ax = i - 1
     layers = [np.zeros_like(np.take(grid, 0, axis=ax))]
     v1 = np.take(grid, 1, axis=ax)
     for level in range(1, v.k):
         layers.append(np.take(grid, level + 1, axis=ax) - v1)
     layers.append(np.take(grid, v.k, axis=ax) - np.take(grid, 0, axis=ax))
-    vals = np.ascontiguousarray(np.stack(layers, axis=ax)).ravel()
-    return MultichoiceGame(v.n, v.k, vals)
+    return MultichoiceGame.from_grid(np.stack(layers, axis=ax))
 
 
 def efficiency_rhs(v: MultichoiceGame) -> float:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from karycap import (
     MultichoiceGame,
     SectionCapacity,
+    SizeLimitError,
     choquet_capacity,
     choquet_kary,
     classical_interaction,
@@ -255,6 +256,21 @@ class TestIntegralCheck:
             target = interaction(v, (1, 2))
             est = integral_check(v, (1, 2), 20_000, seed)
             assert abs(est.estimate - target) <= 3.0 * est.std_error + 1e-9
+
+    def test_honours_limit(self, m2):
+        # 2**2 cells * 2 corners * samples Choquet evaluations, refused before sampling
+        with pytest.raises(SizeLimitError, match="26-bit"):
+            integral_check(m2, (1,), 2**24, 7)
+        with pytest.raises(SizeLimitError, match="10-bit"):
+            integral_check(m2, (1,), 200, 7, limit_bits=10)  # 1600 > 2**10
+        assert integral_check(m2, (1,), 200, 7, limit_bits=11) == integral_check(m2, (1,), 200, 7)
+
+    def test_no_sampling_when_T_covers_every_attribute(self):
+        # 3**4 cells * 2**4 corners, evaluated once: 100_000 samples would exceed 2**26
+        v = random_game(41, 4, 3, "general")
+        est = integral_check(v, (1, 2, 3, 4), 100_000, 1)
+        assert est.std_error == 0.0
+        assert_close(est.estimate, interaction(v, (1, 2, 3, 4)), 1e-12)
 
     def test_rejects_bad_arguments(self, m2):
         with pytest.raises(ValueError):

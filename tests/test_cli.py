@@ -209,6 +209,22 @@ class TestIntegralCheck:
         assert code == 0
         assert abs(doc["estimate"]) <= 1e-12 and doc["std_error"] <= 1e-12
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [(["--samples", "20000000"], "26-bit"), (["--samples", "200", "--limit", "10"], "10-bit")],
+    )
+    def test_sampling_over_the_limit_is_refused(self, capsys, min2_path, extra, message):
+        code, out, err = run(capsys, "integral-check", min2_path, "--set", "1", *extra)
+        assert code == 1 and out == ""
+        assert err.startswith("error: query needs") and message in err
+
+    def test_raised_limit_admits_the_sampling(self, capsys, min2_path):
+        code, out, _ = run(
+            capsys, "integral-check", min2_path, "--set", "1",
+            "--samples", "200", "--limit", "11",
+        )
+        assert code == 0 and abs(json.loads(out)["z_score"]) <= 3.0
+
 
 class TestConvert:
     def test_round_trip_is_byte_identical(self, capsys, tmp_path):

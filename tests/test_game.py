@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from karycap import (
     MultichoiceGame,
@@ -14,6 +14,7 @@ from karycap import (
     random_game,
 )
 from karycap.game import (
+    GAME_KINDS,
     add_games,
     corners,
     decode_index,
@@ -27,6 +28,7 @@ from karycap.game import (
     restrict_present_top,
     support,
 )
+from karycap.verify import make_invariance_partner, make_null_extension
 from conftest import delta_recursive
 
 
@@ -88,6 +90,101 @@ class TestGridHelpers:
         seen = []
         MultichoiceGame.from_function(2, 2, lambda x: seen.append(x) or 0.0)
         assert seen == list(min_game(2, 2).points())
+
+
+def mixed_radix_index(x, k_list):
+    # little-endian index over the product of {0..k_i}: the raw file order
+    idx, step = 0, 1
+    for xi, ki in zip(x, k_list):
+        idx += xi * step
+        step *= ki + 1
+    return idx
+
+
+class TestLayoutContract:
+    """grid(), from_grid and every transform against value(), profile by profile."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.sampled_from(GAME_KINDS),
+        st.integers(0, 2**31),
+        st.data(),
+    )
+    def test_transforms_match_pointwise_definitions(self, n, k, kind, seed, data):
+        v = random_game(seed, n, k, kind)
+        attrs = range(1, n + 1)
+        profiles = list(v.points())
+        grid = v.grid()
+        assert grid.shape == (k + 1,) * n and not grid.flags.writeable
+        assert np.shares_memory(grid, v.values)
+        assert all(grid[x] == v.value(x) for x in profiles)
+        assert MultichoiceGame.from_grid(grid).values.tobytes() == v.values.tobytes()
+
+        # restrict_absent: S frozen at 0, the others keep their order
+        S = data.draw(st.sets(st.sampled_from(attrs), max_size=n - 1))
+        w = restrict_absent(v, S)
+        for y in w.points():
+            rest = iter(y)
+            assert w.value(y) == v.value([0 if i in S else next(rest) for i in attrs])
+
+        # permute_attributes: w(sigma(x)) = v(x)
+        sigma = data.draw(st.permutations(attrs))
+        w = permute_attributes(v, sigma)
+        for x in profiles:
+            moved = [0] * n
+            for i, level in zip(sigma, x):
+                moved[i - 1] = level
+            assert w.value(moved) == v.value(x)
+
+        # make_null_extension: the inserted attribute is ignored
+        position = data.draw(st.integers(1, n + 1))
+        w = make_null_extension(v, position)
+        for x in w.points():
+            assert w.value(x) == v.value(x[: position - 1] + x[position:])
+
+        # reduce_group: kept attributes in order, then the macro level for A
+        T = data.draw(st.sets(st.sampled_from(attrs), min_size=1))
+        A = data.draw(st.sets(st.sampled_from(sorted(T)), min_size=1))
+        w = reduce_group(v, T, A)
+        for y in w.points():
+            rest = iter(y[:-1])
+            x = [y[-1] if i in A else 0 if i in T else next(rest) for i in attrs]
+            assert w.value(y) == v.value(x)
+
+        # extend_heterogeneous: levels above k_i read the top level k_i
+        k_list = data.draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
+        raw = np.random.default_rng(seed).uniform(size=math.prod(ki + 1 for ki in k_list))
+        raw[0] = 0.0
+        w = extend_heterogeneous(raw, k_list, k)
+        for x in profiles:
+            clamped = [min(xi, ki) for xi, ki in zip(x, k_list)]
+            assert w.value(x) == raw[mixed_radix_index(clamped, k_list)]
+
+        i = data.draw(st.sampled_from(attrs))
+        if n >= 2:  # restrict_present_top: i pinned at k, shifted to vanish at 0
+            w = restrict_present_top(v, i)
+            origin = [k if j == i else 0 for j in attrs]
+            for y in w.points():
+                x = list(y[: i - 1]) + [k] + list(y[i - 1 :])
+                assert w.value(y) == v.value(x) - v.value(origin)
+
+        if k >= 2:  # make_invariance_partner: increments along i shifted one level up
+            w = make_invariance_partner(v, i)
+            for x in profiles:
+                line = [v.value(x[: i - 1] + (level,) + x[i:]) for level in range(k + 1)]
+                shifted = [0.0] + [line[l + 1] - line[1] for l in range(1, k)] + [line[k] - line[0]]
+                assert w.value(x) == shifted[x[i - 1]]
+
+    @pytest.mark.parametrize("shape", [(4, 2, 8), (3, 2), ()])
+    def test_from_grid_rejects_unequal_axes(self, shape):
+        with pytest.raises(ValueError, match="one length"):
+            MultichoiceGame.from_grid(np.zeros(shape))
+
+    def test_strides_are_python_int_flat_steps(self):
+        strides = random_game(3, 3, 2).strides((3, 1, 2))
+        assert strides == [9, 1, 3] and all(type(s) is int for s in strides)
 
 
 class TestSupportKernel:
