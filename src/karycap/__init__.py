@@ -13,7 +13,6 @@ from .game import (
     random_game,
 )
 from .indices import (
-    IndexReport,
     classical_shapley,
     importance,
     interaction,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AXIOMS",
     "GameFormatError",
-    "IndexReport",
     "IntegralEstimate",
     "MultichoiceGame",
     "SectionCapacity",

@@ -11,8 +11,10 @@ sum over all cells of the classical interaction index of the section
 capacity, and likewise the integral of the corresponding mixed partial
 derivative of the extension over the whole box.  Both identities are
 implemented here as independent numerical checks, on top of the classical
-(k = 1) interaction index and one gather of section capacities per batch
-of cells.
+(k = 1) interaction index.  A cell's corners are the 2 x ... x 2 block of
+``v.grid()`` at its base, read in F order, so they come by coalition mask;
+the summed capacity of all cells is a difference of two shifted boxes of
+the grid per coalition.
 """
 
 from __future__ import annotations
@@ -68,27 +70,26 @@ class SectionCapacity:
         return MultichoiceGame(self.n, 1, self.mu)
 
 
-def _sections(v: MultichoiceGame, bases: np.ndarray) -> Iterator[tuple[float, np.ndarray]]:
+def _sections(
+    v: MultichoiceGame, bases: Iterable[Sequence[int]]
+) -> Iterator[tuple[float, np.ndarray]]:
     """Game value at the base and section capacity of each cell, in the order of ``bases``.
 
-    ``bases`` holds one row of levels per cell.  The capacity of the cell at
-    base b holds v(b raised by one on the coalition) - v(b) by coalition
-    mask, so its entry 0 is 0.  Corner values are gathered for a batch of
-    cells at a time, at most 2**16 table entries, which bounds the memory.
+    ``bases`` holds one row of levels in {0..k-1} per cell.  The capacity of
+    the cell at base b holds v(b raised by one on the coalition) - v(b) by
+    coalition mask, so its entry 0 is 0.
     """
-    strides = v.strides(range(1, v.n + 1))
-    _, offsets = corners(strides)  # by coalition mask
-    step = max(1, 2**16 >> v.n)
-    for i in range(0, len(bases), step):
-        corner_values = v.values[(bases[i : i + step] @ strides)[:, None] + offsets]
-        yield from zip(corner_values[:, 0], corner_values - corner_values[:, :1])
+    grid = v.grid()
+    for b in bases:
+        block = grid[tuple(slice(bi, bi + 2) for bi in b)].ravel(order="F")  # by coalition mask
+        yield block[0], block - block[0]
 
 
 def section_capacity(v: MultichoiceGame, q: Sequence[int]) -> SectionCapacity:
     """Capacity of the unit cell with base q, q in {0..k-1}^n."""
     encode_index(q, v.n, v.k - 1)  # q must be a point of the cell grid {0..k-1}^n
     q = tuple(int(qi) for qi in q)
-    ((_, mu),) = _sections(v, np.array([q]))
+    ((_, mu),) = _sections(v, [q])
     return SectionCapacity(v.n, q, mu)
 
 
@@ -122,9 +123,9 @@ def choquet_capacity(mu: SectionCapacity, w: Sequence[float]) -> float:
 
 def _eval_in_cell(v: MultichoiceGame, q: Sequence[int], z: np.ndarray) -> float:
     """Extension value at z computed through the cell based at q."""
-    mu = section_capacity(v, q)
+    ((vq, mu),) = _sections(v, [q])
     offs = z - np.asarray(q, dtype=np.float64)
-    return v.value(q) + float(_choquet_batch(mu.mu, offs[None, :], v.n)[0])
+    return float(vq + _choquet_batch(mu, offs[None, :], v.n)[0])
 
 
 def choquet_kary(v: MultichoiceGame, z: Sequence[float]) -> float:
@@ -182,9 +183,17 @@ def interaction_cellsum(
     independent oracle for it.
     """
     members = nonempty_members(T, v.n)
-    check_query_size(v.k**v.n * 2**v.n, limit_bits)
-    total = sum(mu for _, mu in _sections(v, digits(v.k, v.n)))  # every unit cell
-    return classical_interaction(MultichoiceGame(v.n, 1, total), members)
+    n, k = v.n, v.k
+    check_query_size(k**n * 2**n, limit_bits)
+    grid = v.grid()
+    low = grid[(slice(0, k),) * n]  # the cell bases
+    # the summed capacity of coalition mask m: the cell bases raised by one on
+    # m, minus the bases, added up over the cells (difference first, then sum)
+    total = [
+        (grid[tuple(slice(m >> i & 1, k + (m >> i & 1)) for i in range(n))] - low).sum()
+        for m in range(2**n)
+    ]
+    return classical_interaction(MultichoiceGame(n, 1, total), members)
 
 
 class IntegralEstimate(NamedTuple):
@@ -219,7 +228,9 @@ def integral_check(
     comp = [i for i in range(1, n + 1) if i not in set(members)]
     if comp and samples < 2:
         raise ValueError("need at least two samples to estimate a standard error")
-    check_query_size(v.k**n * 2 ** len(members) * (samples if comp else 1), limit_bits)
+    check_query_size(
+        v.k**n * 2 ** len(members) * (samples if comp else 1), limit_bits, "Choquet evaluations"
+    )
 
     # corner offsets in a k = 1 table are coalition masks; unpack them to 0/1 points
     signs, masks = corners([1 << (i - 1) for i in members])

@@ -173,13 +173,11 @@ def cmd_interaction(args) -> int:
     else:
         if not 1 <= args.order <= game.n:
             raise ValueError(f"--order must be in 1..{game.n}")
-        report = interaction_all_upto(game, args.order, args.method, args.limit)
+        interactions = interaction_all_upto(game, args.order, args.method, args.limit)
         doc = {
             "method": args.method,
             "max_order": args.order,
-            "interactions": {
-                _coalition_key(T): val for T, val in report.interactions.items()
-            },
+            "interactions": {_coalition_key(T): val for T, val in interactions.items()},
         }
     _emit(doc, args)
     return 0
@@ -205,7 +203,7 @@ def cmd_verify(args) -> int:
         if unknown:
             raise UsageError(f"unknown axiom name(s): {', '.join(unknown)}")
     reports = [
-        verify_axiom(a, args.trials, args.seed, args.n, args.k, args.tol, game)
+        verify_axiom(a, args.trials, args.seed, args.n, args.k, args.tol, game, args.limit)
         for a in axioms
     ]
     doc = {

@@ -4,11 +4,12 @@ A game assigns a real value to every profile of attribute levels and maps
 the all-zeros profile to 0.  Attributes are numbered 1..n.  Value tables
 are stored densely in little-endian mixed-radix order: attribute 1 is the
 least significant digit, so profile x has flat index sum(x[i] * (k+1)**i).
-:class:`MultichoiceGame` alone knows this layout.  ``v.strides(members)``
-gives the flat-index step of each attribute, ``v.grid()`` views the table
-as an n-dimensional array whose axis i-1 carries the level of attribute i,
-and ``MultichoiceGame.from_grid`` builds a game from such an array; the
-game transforms below are slices, stacks and axis moves of that array.
+:class:`MultichoiceGame` alone knows this layout.  ``v.grid()`` views the
+table as an n-dimensional array whose axis i-1 carries the level of
+attribute i, and ``MultichoiceGame.from_grid`` builds a game from such an
+array.  Other modules address the table only through ``grid()``: the game
+transforms below are slices, stacks and axis moves of that array, and the
+indices are slices of it followed by differences along axes.
 
 Games are immutable once built; every operation here is a pure function,
 so games can be shared freely across threads.
@@ -52,12 +53,14 @@ def check_table_size(n: int, k: int, limit_bits: int | None = None) -> None:
         )
 
 
-def check_query_size(count: int, limit_bits: int | None = None) -> None:
-    """Fail fast if a query would need more than 2**bits table lookups."""
+def check_query_size(
+    count: int, limit_bits: int | None = None, unit: str = "table lookups"
+) -> None:
+    """Fail fast if a query would need more than 2**bits of ``unit``."""
     bits = limit_bits if limit_bits is not None else DEFAULT_QUERY_BITS
     if count > 2**bits:
         raise SizeLimitError(
-            f"query needs {count} table lookups, beyond the {bits}-bit limit; "
+            f"query needs {count} {unit}, beyond the {bits}-bit limit; "
             "raise the limit explicitly if intended"
         )
 
@@ -216,10 +219,6 @@ class MultichoiceGame:
         """Read-only view of the table whose axis i-1 carries the level of attribute i."""
         return self.values.reshape((self.k + 1,) * self.n, order="F")
 
-    def strides(self, members: Iterable[int]) -> list[int]:
-        """Flat-index step of each attribute in ``members``, as Python ints."""
-        return [(self.k + 1) ** (i - 1) for i in members]
-
 
 def min_game(n: int, k: int) -> MultichoiceGame:
     """v(x) = min_i x_i; the standard fully conjunctive example."""
@@ -233,13 +232,16 @@ def discrete_derivative(v: MultichoiceGame, T: Iterable[int], x: Sequence[int]) 
     difference along the attributes of T.
     """
     members = nonempty_members(T, v.n)
-    if len(x) != v.n:
-        raise ValueError(f"profile has {len(x)} components, expected {v.n}")
+    encode_index(x, v.n, v.k)  # a profile, before its levels become slice bounds
     for i in members:
         if x[i - 1] >= v.k:
             raise ValueError(f"attribute {i} already at top level in {tuple(x)}")
-    signs, offsets = corners(v.strides(members))
-    return math.fsum(signs * v.values[encode_index(x, v.n, v.k) + offsets])
+    cell = v.grid()[tuple(
+        slice(xi, xi + 2) if i in members else slice(xi, xi + 1) for i, xi in enumerate(x, 1)
+    )]
+    for i in members:
+        cell = np.diff(cell, axis=i - 1)
+    return cell.item()
 
 
 def extend_heterogeneous(

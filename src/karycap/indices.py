@@ -11,9 +11,11 @@ and multiplies it by the alternating sum of v over the corners where T
 sits at level 0 or k.  For t = 1 this reduces to the importance index of
 a single attribute (top-minus-bottom differences).
 
-To keep results reproducible and well conditioned, value terms are
-grouped by (s, kap) class and summed exactly per class (math.fsum /
-bincount in canonical enumeration order); the rational coefficient is
+Every index reads the table through ``v.grid()``: a basic slice of the
+grid (levels 0 and k on the axes of T, say) followed by ``np.diff`` along
+each axis of T.  To keep results reproducible and well conditioned, the
+resulting terms are grouped by (s, kap) class and summed per class in
+canonical table order (attribute 1 fastest); the rational coefficient is
 converted to a double only when a whole class total is multiplied in.
 
 Two independently computable forms are provided as cross-checks: a sum
@@ -24,8 +26,6 @@ reduced games where a coalition moves as a single macro attribute.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -37,8 +37,6 @@ from .game import (
     Coalition,
     MultichoiceGame,
     check_query_size,
-    corners,
-    digits,
     encode_index,
     members_tuple,
     nonempty_members,
@@ -63,20 +61,17 @@ def shapley_coefficient(n: int, t: int, s: int, kap: int) -> Fraction:
     )
 
 
-def _complement_profiles(
-    v: MultichoiceGame, members: Coalition
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices and (s, kap) class ids of the profiles outside ``members``.
+def _classes(shape: tuple[int, ...], n: int, k: int) -> np.ndarray:
+    """(s, kap) class id of each entry of an array of ``shape``, in F order.
 
-    The profiles range over the other attributes with ``members`` at level
-    0; support size s and kernel size kap give class id s * (n + 1) + kap.
+    An entry's index along each axis is a level; support size s counts the
+    levels above 0 and kernel size kap those at k, and the class id is
+    s * (n + 1) + kap.  Axes of length 1 (those of T) add nothing.
     """
-    comp = [i for i in range(1, v.n + 1) if i not in members]
-    levels = digits(v.k + 1, len(comp))
-    base = levels @ np.array(v.strides(comp), dtype=np.int64)
-    s_arr = np.count_nonzero(levels > 0, axis=1)
-    kap_arr = np.count_nonzero(levels == v.k, axis=1)
-    return base, s_arr * (v.n + 1) + kap_arr
+    levels = np.indices(shape)
+    s_arr = np.count_nonzero(levels > 0, axis=0)
+    kap_arr = np.count_nonzero(levels == k, axis=0)
+    return (s_arr * (n + 1) + kap_arr).ravel(order="F")
 
 
 def _combine_classes(n: int, t: int, cid: np.ndarray, terms: np.ndarray) -> float:
@@ -91,11 +86,12 @@ def _combine_classes(n: int, t: int, cid: np.ndarray, terms: np.ndarray) -> floa
 def _closed_form(v: MultichoiceGame, members: Coalition, limit_bits: int | None) -> float:
     n, k, t = v.n, v.k, len(members)
     check_query_size((k + 1) ** (n - t) * 2**t, limit_bits)
-    base, cid = _complement_profiles(v, members)
-    terms = np.zeros(len(base))
-    for sign, off in zip(*corners([k * stride for stride in v.strides(members)])):
-        terms += sign * v.values[base + off]
-    return _combine_classes(n, t, cid, terms)
+    # T at levels 0 and k, every other attribute at each of its levels
+    ends = tuple(slice(0, k + 1, k) if i in members else slice(None) for i in range(1, n + 1))
+    terms = v.grid()[ends]
+    for i in members:
+        terms = np.diff(terms, axis=i - 1)
+    return _combine_classes(n, t, _classes(terms.shape, n, k), terms.ravel(order="F"))
 
 
 def importance(v: MultichoiceGame, i: int, limit_bits: int | None = None) -> float:
@@ -132,14 +128,11 @@ def interaction_via_derivatives(
     members = nonempty_members(T, v.n)
     n, k, t = v.n, v.k, len(members)
     check_query_size((k + 1) ** (n - t) * k**t * 2**t, limit_bits)
-    base, cid = _complement_profiles(v, members)
-    member_strides = np.array(v.strides(members), dtype=np.int64)
-    # bases of the k**t unit cells inside the T-block
-    grid = base[:, None] + (digits(k, t) @ member_strides)[None, :]
-    deltas = np.zeros(grid.shape)
-    for sign, off in zip(*corners(member_strides)):
-        deltas += sign * v.values[grid + off]
-    return _combine_classes(n, t, cid, deltas.sum(axis=1))
+    deltas = v.grid()  # after the differences: one entry per unit cell of the T-block
+    for i in members:
+        deltas = np.diff(deltas, axis=i - 1)
+    terms = deltas.sum(axis=tuple(i - 1 for i in members), keepdims=True)
+    return _combine_classes(n, t, _classes(terms.shape, n, k), terms.ravel(order="F"))
 
 
 def interaction_recursive(
@@ -178,49 +171,17 @@ def lattice_point_interaction(v: MultichoiceGame, x: Sequence[int]) -> float:
     them sit at the top.  At k = 1 and x the indicator of a coalition S
     this is the classical interaction index of S.
     """
-    x_index = encode_index(x, v.n, v.k)
+    encode_index(x, v.n, v.k)  # a profile, before its levels become slice bounds
     J = support(x)
     if not J:
         raise ValueError("x must have nonempty support")
-    n, k = v.n, v.k
-    j = len(J)
-    outside = [i for i in range(1, n + 1) if i not in J]
-    signs, cell = corners(v.strides(J))
-    base = x_index - sum(v.strides(J))
-    # the outside attributes sweep {0, k}; h counts those at the top
-    tops = digits(2, len(outside))
-    sweep = base + tops @ np.array([k * stride for stride in v.strides(outside)], dtype=np.int64)
-    deltas = np.array([math.fsum(signs * v.values[off + cell]) for off in sweep])
-    h_arr = tops.sum(axis=1)
-    return math.fsum(
-        float(Fraction(math.factorial(n - j - h) * math.factorial(h), math.factorial(n - j + 1)))
-        * math.fsum(deltas[h_arr == h])
-        for h in range(len(outside) + 1)
-    )
-
-
-@dataclass
-class IndexReport:
-    """Importance vector and interaction map for one game."""
-
-    target: str
-    importance: dict[int, float]
-    interactions: dict[Coalition, float]
-    method: str
-    max_order: int
-    elapsed: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "method": self.method,
-            "max_order": self.max_order,
-            "importance": [self.importance[i] for i in sorted(self.importance)],
-            "interactions": {
-                "+".join(map(str, T)): val for T, val in self.interactions.items()
-            },
-            "elapsed": self.elapsed,
-        }
+    deltas = v.grid()[tuple(slice(xi - 1, xi + 1) if xi else slice(0, v.k + 1, v.k) for xi in x)]
+    for i in J:
+        deltas = np.diff(deltas, axis=i - 1)
+    # the axes outside J hold levels {0, k} at indices {0, 1}: read as a k = 1
+    # grid, h attributes at the top make class (s, kap) = (h, h), whose
+    # coefficient (n-j-h)! h! / (n-j+1)! is the weight of this index
+    return _combine_classes(v.n, len(J), _classes(deltas.shape, v.n, 1), deltas.ravel(order="F"))
 
 
 def interaction_by_method(
@@ -247,26 +208,17 @@ def interaction_all_upto(
     m: int,
     method: str = "closed_form",
     limit_bits: int | None = None,
-) -> IndexReport:
-    """All interactions of order 1..m under one method.
+) -> dict[Coalition, float]:
+    """Interaction of every coalition of order 1..m under one method.
 
-    Singleton rows double as the importance vector.  ``method`` is one of
-    closed_form, derivative_sum, recursive, cellsum.
+    Keys are sorted member tuples, by order and then lexicographically, so
+    the singleton rows ``(i,)`` double as the importance vector.
+    ``method`` is one of closed_form, derivative_sum, recursive, cellsum.
     """
     if not 1 <= m <= v.n:
         raise ValueError(f"max order {m} outside 1..{v.n}")
-    start = time.perf_counter()
-    interactions: dict[Coalition, float] = {}
-    for size in range(1, m + 1):
-        for T in combinations(range(1, v.n + 1), size):
-            interactions[T] = interaction_by_method(v, T, method, limit_bits)
-    imp = {T[0]: val for T, val in interactions.items() if len(T) == 1}
-    target = v.meta.get("name") or f"game(n={v.n},k={v.k})"
-    return IndexReport(
-        target=target,
-        importance=imp,
-        interactions=interactions,
-        method=method,
-        max_order=m,
-        elapsed=time.perf_counter() - start,
-    )
+    return {
+        T: interaction_by_method(v, T, method, limit_bits)
+        for size in range(1, m + 1)
+        for T in combinations(range(1, v.n + 1), size)
+    }

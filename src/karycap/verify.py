@@ -128,14 +128,16 @@ def verify_axiom(
     k: int,
     tol: float = 1e-9,
     game: MultichoiceGame | None = None,
+    limit_bits: int | None = None,
 ) -> VerificationReport:
     """Randomized check of one interaction-index axiom.
 
     Draws fresh games per trial (or reuses ``game`` as the base subject
     while still drawing random partners, permutations and positions) and
     records every equation violation above ``tol * max(1, max|v|)``, v the
-    trial's base game.  Deterministic for a given (axiom, trials, seed, n,
-    k, game).
+    trial's base game.  ``limit_bits`` overrides the size guards of every
+    game built and every index query made.  Deterministic for a given
+    (axiom, trials, seed, n, k, game).
     """
     if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r}, expected one of {AXIOMS}")
@@ -156,58 +158,58 @@ def verify_axiom(
         ts = int(ts)
         rng = np.random.default_rng(ts)
         v = game if game is not None else random_game(
-            int(rng.integers(0, 2**31)), n, k, "general"
+            int(rng.integers(0, 2**31)), n, k, "general", limit_bits
         )
-        checker(report, rng, ts, v, tol * max(1.0, float(np.abs(v.values).max())))
+        checker(report, rng, ts, v, tol * max(1.0, float(np.abs(v.values).max())), limit_bits)
     return report
 
 
-def _check_linearity(report, rng, ts, v, tol):
-    w = random_game(int(rng.integers(0, 2**31)), v.n, v.k, "general")
+def _check_linearity(report, rng, ts, v, tol, bits):
+    w = random_game(int(rng.integers(0, 2**31)), v.n, v.k, "general", bits)
     alpha = float(rng.uniform(-2.0, 2.0))
     combo = add_games(v, w, alpha)
     for T in _coalitions_upto(v.n, MAX_ORDER):
-        lhs = interaction(combo, T)
-        rhs = interaction(v, T) + alpha * interaction(w, T)
+        lhs = interaction(combo, T, bits)
+        rhs = interaction(v, T, bits) + alpha * interaction(w, T, bits)
         report.record(tol, ts, T, lhs, rhs)
 
 
-def _check_null(report, rng, ts, v, tol):
+def _check_null(report, rng, ts, v, tol, bits):
     position = int(rng.integers(1, v.n + 2))
-    ext = make_null_extension(v, position)
+    ext = make_null_extension(v, position, bits)
     for T in _coalitions_upto(ext.n, MAX_ORDER, containing=position):
-        report.record(tol, ts, T, interaction(ext, T), 0.0)
+        report.record(tol, ts, T, interaction(ext, T, bits), 0.0)
 
 
-def _check_invariance(report, rng, ts, v, tol):
+def _check_invariance(report, rng, ts, v, tol, bits):
     i = int(rng.integers(1, v.n + 1))
     w = make_invariance_partner(v, i)
     for T in _coalitions_upto(v.n, MAX_ORDER, containing=i):
-        report.record(tol, ts, T, interaction(v, T), interaction(w, T))
+        report.record(tol, ts, T, interaction(v, T, bits), interaction(w, T, bits))
 
 
-def _check_symmetry(report, rng, ts, v, tol):
+def _check_symmetry(report, rng, ts, v, tol, bits):
     sigma = tuple(int(s) + 1 for s in rng.permutation(v.n))
     relabeled = permute_attributes(v, sigma)
     for T in _coalitions_upto(v.n, MAX_ORDER):
         sigma_T = members_tuple((sigma[i - 1] for i in T), v.n)
-        report.record(tol, ts, T, interaction(relabeled, sigma_T), interaction(v, T))
+        report.record(tol, ts, T, interaction(relabeled, sigma_T, bits), interaction(v, T, bits))
 
 
-def _check_efficiency(report, rng, ts, v, tol):
-    lhs = math.fsum(importance(v, i) for i in range(1, v.n + 1))
+def _check_efficiency(report, rng, ts, v, tol, bits):
+    lhs = math.fsum(importance(v, i, bits) for i in range(1, v.n + 1))
     report.record(tol, ts, ("total",), lhs, efficiency_rhs(v))
 
 
-def _check_recursion(report, rng, ts, v, tol):
+def _check_recursion(report, rng, ts, v, tol, bits):
     for T in _coalitions_upto(v.n, MAX_ORDER):
         if len(T) < 2:
             continue
-        lhs = interaction(v, T)
+        lhs = interaction(v, T, bits)
         for i in T:
             rest = _drop_and_renumber(T, i)
-            rhs = interaction(restrict_present_top(v, i), rest) - interaction(
-                restrict_absent(v, (i,)), rest
+            rhs = interaction(restrict_present_top(v, i), rest, bits) - interaction(
+                restrict_absent(v, (i,)), rest, bits
             )
             report.record(tol, ts, T + ("drop", i), lhs, rhs)
 

@@ -170,6 +170,14 @@ class TestVerify:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    def test_limit_reaches_the_trial_games(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--n", "4", "--k", "3", "--limit", "4",
+            "--trials", "1", "--axioms", "N",
+        )
+        # the trial game's 4**4-entry table is refused, before any partner
+        assert code == 1 and out == "" and "256 entries, beyond the 4-bit limit" in err
+
     def test_unknown_axiom(self, capsys):
         code, _, err = run(capsys, "verify", "--axioms", "Q")
         assert code == 2 and "unknown axiom" in err
@@ -217,6 +225,7 @@ class TestIntegralCheck:
         code, out, err = run(capsys, "integral-check", min2_path, "--set", "1", *extra)
         assert code == 1 and out == ""
         assert err.startswith("error: query needs") and message in err
+        assert "Choquet evaluations" in err
 
     def test_raised_limit_admits_the_sampling(self, capsys, min2_path):
         code, out, _ = run(

@@ -182,10 +182,6 @@ class TestLayoutContract:
         with pytest.raises(ValueError, match="one length"):
             MultichoiceGame.from_grid(np.zeros(shape))
 
-    def test_strides_are_python_int_flat_steps(self):
-        strides = random_game(3, 3, 2).strides((3, 1, 2))
-        assert strides == [9, 1, 3] and all(type(s) is int for s in strides)
-
 
 class TestSupportKernel:
     def test_support(self):
@@ -247,6 +243,21 @@ class TestDiscreteDerivative:
             discrete_derivative(m2, (1,), (2, 0))
         with pytest.raises(ValueError, match="nonempty"):
             discrete_derivative(m2, (), (0, 0))
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ((-1, 0), "outside"),
+            ((0, -1), "outside"),
+            ((0.5, 0), "not an integer"),
+            ((0, 1.0), "not an integer"),
+            ((0,), "components"),
+        ],
+    )
+    def test_rejects_bad_profile(self, m2, x, message):
+        # levels become slice bounds, where a negative one would wrap silently
+        with pytest.raises(ValueError, match=message):
+            discrete_derivative(m2, (1,), x)
 
     def test_null_attribute_kills_derivative(self):
         # v ignores attribute 2 entirely

@@ -1,16 +1,19 @@
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from karycap import (
     MultichoiceGame,
     SizeLimitError,
     classical_interaction,
     classical_shapley,
+    extend_heterogeneous,
     importance,
+    integral_check,
     interaction,
     interaction_all_upto,
     interaction_cellsum,
@@ -22,7 +25,13 @@ from karycap import (
 from karycap.game import add_games
 from karycap.indices import METHODS, interaction_by_method, shapley_coefficient
 from karycap.verify import make_null_extension
-from conftest import assert_close, brute_shapley, dividend_interaction, unanimity
+from conftest import (
+    assert_close,
+    brute_shapley,
+    delta_recursive,
+    dividend_interaction,
+    unanimity,
+)
 
 
 class TestShapleyCoefficient:
@@ -253,6 +262,30 @@ class TestLatticePointInteraction:
                             1e-12,
                         )
 
+    def test_matches_weighted_cell_derivatives(self):
+        # the definition: attributes outside J at {0, k}, h of them at the top,
+        # each such cell derivative over J weighted (n-j-h)! h! / (n-j+1)!
+        for seed, (n, k) in enumerate([(2, 2), (3, 2), (3, 3), (4, 2)]):
+            v = random_game(seed + 450, n, k, "general")
+            for x in product(range(k + 1), repeat=n):
+                J = tuple(i for i in range(1, n + 1) if x[i - 1])
+                if not J:
+                    continue
+                outside = [i for i in range(1, n + 1) if i not in J]
+                want = 0.0
+                for h in range(len(outside) + 1):
+                    weight = Fraction(
+                        math.factorial(n - len(J) - h) * math.factorial(h),
+                        math.factorial(n - len(J) + 1),
+                    )
+                    for H in combinations(outside, h):
+                        base = [
+                            x[i - 1] - 1 if i in J else k if i in H else 0
+                            for i in range(1, n + 1)
+                        ]
+                        want += float(weight) * delta_recursive(v, J, base)
+                assert_close(lattice_point_interaction(v, x), want, 1e-12)
+
     def test_null_support_attribute_gives_zero(self):
         v = random_game(51, 3, 2, "general")
         ext = make_null_extension(v, 1)
@@ -277,6 +310,37 @@ class TestLatticePointInteraction:
             lattice_point_interaction(m2, x)
 
 
+class TestRoutesAgree:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.sampled_from(["general", "monotone", "additive", "heterogeneous"]),
+        st.sampled_from([1e-6, 1.0, 1e6]),
+        st.integers(0, 2**31),
+        st.data(),
+    )
+    def test_every_route_matches_the_closed_form(self, n, k, kind, scale, seed, data):
+        if kind == "heterogeneous":
+            k_list = data.draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
+            size = math.prod(ki + 1 for ki in k_list)
+            raw = np.random.default_rng(seed).uniform(-1.0, 1.0, size)
+            raw[0] = 0.0
+            v = extend_heterogeneous(raw * scale, k_list, k)
+        else:
+            v = MultichoiceGame(n, k, random_game(seed, n, k, kind).values * scale)
+        bound = 1e-9 * max(1.0, float(np.abs(v.values).max()))
+        for t in range(1, n + 1):
+            for T in combinations(range(1, n + 1), t):
+                want = interaction(v, T)
+                assert_close(interaction_via_derivatives(v, T), want, bound)
+                assert_close(interaction_recursive(v, T), want, bound)
+                assert_close(interaction_cellsum(v, T), want, bound)
+        # with T = N nothing is sampled, so the integral route is exact
+        N = tuple(range(1, n + 1))
+        assert_close(integral_check(v, N, 1, seed).estimate, interaction(v, N), bound)
+
+
 class TestLinearity:
     def test_index_is_linear(self):
         for seed in range(5):
@@ -295,31 +359,29 @@ class TestLinearity:
 class TestReport:
     def test_min_game_report(self, m2):
         report = interaction_all_upto(m2, 2)
-        assert report.max_order == 2
-        assert report.method == "closed_form"
-        assert_close(report.importance[1], 2.0, 1e-12)
-        assert_close(report.importance[2], 2.0, 1e-12)
-        assert_close(report.interactions[(1, 2)], 2.0, 1e-12)
+        assert type(report) is dict and list(report) == [(1,), (2,), (1, 2)]
+        assert_close(report[(1,)], 2.0, 1e-12)
+        assert_close(report[(2,)], 2.0, 1e-12)
+        assert_close(report[(1, 2)], 2.0, 1e-12)
 
     def test_singletons_populate_importance(self):
         v = random_game(61, 3, 2, "general")
         report = interaction_all_upto(v, 3)
         for i in (1, 2, 3):
-            assert report.importance[i] == report.interactions[(i,)]
-            assert abs(report.importance[i] - importance(v, i)) <= 1e-9
+            assert report[(i,)] == importance(v, i)
 
     def test_methods_agree(self):
         v = random_game(71, 3, 2, "general")
         base = interaction_all_upto(v, 3, "closed_form")
         for method in ("derivative_sum", "recursive", "cellsum"):
             other = interaction_all_upto(v, 3, method)
-            for T, val in base.interactions.items():
-                assert_close(other.interactions[T], val)
+            for T, val in base.items():
+                assert_close(other[T], val)
 
     def test_additive_higher_orders_vanish(self):
         v = random_game(81, 3, 2, "additive")
         report = interaction_all_upto(v, 3)
-        for T, val in report.interactions.items():
+        for T, val in report.items():
             if len(T) >= 2:
                 assert_close(val, 0.0, 1e-12)
 
@@ -350,8 +412,3 @@ class TestReport:
             interaction_all_upto(m2, 3)
         with pytest.raises(ValueError):
             interaction_all_upto(m2, 2, "fancy")
-
-    def test_as_dict_round(self, m2):
-        doc = interaction_all_upto(m2, 2).as_dict()
-        assert doc["interactions"]["1+2"] == 2.0
-        assert doc["importance"] == [2.0, 2.0]

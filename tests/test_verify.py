@@ -6,6 +6,7 @@ import pytest
 from karycap import (
     AXIOMS,
     MultichoiceGame,
+    SizeLimitError,
     check_lemma4,
     importance,
     interaction,
@@ -163,6 +164,19 @@ class TestVerifyAxiom:
         assert gap > 0.0
         assert verify_axiom("L", 5, 4, 4, 3, tol=1.5 * gap, game=half).passed
 
+    @pytest.mark.parametrize(
+        "axiom, guard",
+        [("L", "table over"), ("N", "table over")]
+        + [(axiom, "table lookups") for axiom in "ISER"],
+    )
+    def test_limit_reaches_partners_and_queries(self, axiom, guard):
+        # L's random partner and N's extension are the first tables built
+        # beyond 5 bits; the other axioms trip on their first index query
+        v = random_game(8, 4, 3)
+        with pytest.raises(SizeLimitError, match=f"{guard}.*beyond the 5-bit limit"):
+            verify_axiom(axiom, 1, 8, 4, 3, game=v, limit_bits=5)
+        assert verify_axiom(axiom, 1, 8, 4, 3, game=v, limit_bits=10).passed
+
     def test_failures_recorded_under_impossible_tolerance(self):
         report = verify_axiom("E", 5, 11, 3, 2, tol=-1.0)
         assert not report.passed
@@ -189,8 +203,7 @@ class TestVerifyAxiom:
 
         for seed in range(5):
             v = random_game(seed + 1000, 3, 2, "general")
-            report = interaction_all_upto(v, 1)
-            total = math.fsum(report.importance.values())
+            total = math.fsum(interaction_all_upto(v, 1).values())
             assert_close(total, efficiency_rhs(v))
 
 
