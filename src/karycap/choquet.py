@@ -14,7 +14,9 @@ implemented here as independent numerical checks, on top of the classical
 (k = 1) interaction index.  A cell's corners are the 2 x ... x 2 block of
 ``v.grid()`` at its base, read in F order, so they come by coalition mask;
 the summed capacity of all cells is a difference of two shifted boxes of
-the grid per coalition.
+the grid per coalition.  The Monte-Carlo check differences each cell's
+block along the axes of T: the corner sum of the extension over T is then
+one Choquet integral of that T-difference capacity per sample.
 """
 
 from __future__ import annotations
@@ -23,19 +25,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .game import (
     LatticePoint,
     MultichoiceGame,
+    _integer,
     check_query_size,
-    corners,
-    digits,
     encode_index,
     members_tuple,
     nonempty_members,
+    profiles,
 )
 
 
@@ -70,27 +72,26 @@ class SectionCapacity:
         return MultichoiceGame(self.n, 1, self.mu)
 
 
-def _sections(
-    v: MultichoiceGame, bases: Iterable[Sequence[int]]
-) -> Iterator[tuple[float, np.ndarray]]:
-    """Game value at the base and section capacity of each cell, in the order of ``bases``.
+def _cell(v: MultichoiceGame, q: Sequence[int]) -> np.ndarray:
+    """The 2 x ... x 2 block of ``v.grid()`` at cell base q, q in {0..k-1}^n."""
+    return v.grid()[tuple(slice(qi, qi + 2) for qi in q)]
 
-    ``bases`` holds one row of levels in {0..k-1} per cell.  The capacity of
-    the cell at base b holds v(b raised by one on the coalition) - v(b) by
-    coalition mask, so its entry 0 is 0.
+
+def _section(v: MultichoiceGame, q: Sequence[int]) -> tuple[float, np.ndarray]:
+    """Game value at cell base q and the section capacity of that cell.
+
+    The capacity holds v(q raised by one on the coalition) - v(q) by
+    coalition mask (the F-order ravel of the block), so its entry 0 is 0.
     """
-    grid = v.grid()
-    for b in bases:
-        block = grid[tuple(slice(bi, bi + 2) for bi in b)].ravel(order="F")  # by coalition mask
-        yield block[0], block - block[0]
+    block = _cell(v, q).ravel(order="F")
+    return block[0], block - block[0]
 
 
 def section_capacity(v: MultichoiceGame, q: Sequence[int]) -> SectionCapacity:
     """Capacity of the unit cell with base q, q in {0..k-1}^n."""
     encode_index(q, v.n, v.k - 1)  # q must be a point of the cell grid {0..k-1}^n
     q = tuple(int(qi) for qi in q)
-    ((_, mu),) = _sections(v, [q])
-    return SectionCapacity(v.n, q, mu)
+    return SectionCapacity(v.n, q, _section(v, q)[1])
 
 
 def _choquet_batch(mu: np.ndarray, W: np.ndarray, n: int) -> np.ndarray:
@@ -123,7 +124,7 @@ def choquet_capacity(mu: SectionCapacity, w: Sequence[float]) -> float:
 
 def _eval_in_cell(v: MultichoiceGame, q: Sequence[int], z: np.ndarray) -> float:
     """Extension value at z computed through the cell based at q."""
-    ((vq, mu),) = _sections(v, [q])
+    vq, mu = _section(v, q)
     offs = z - np.asarray(q, dtype=np.float64)
     return float(vq + _choquet_batch(mu, offs[None, :], v.n)[0])
 
@@ -210,48 +211,47 @@ def integral_check(
 ) -> IntegralEstimate:
     """Monte-Carlo estimate of the box integral of the T-mixed derivative.
 
-    The integral over each unit cell is reduced to the alternating sum of
-    the extension over the 0/1 corners in the T-coordinates, averaged over
-    uniform positions of the remaining coordinates; ``samples`` points are
-    drawn per cell from an independent stream seeded by (seed, cell), so
-    the result is deterministic and invariant to cell evaluation order.
-    For |T| = 1 this integrates the almost-everywhere partial derivative
-    cell by cell.  Returns the estimate and its standard error.
+    Over each unit cell the integral reduces to the alternating sum of the
+    extension over the 0/1 corners in the T-coordinates, averaged over
+    uniform positions u of the other coordinates.  The T-coordinates rank
+    below or above every coordinate of u, and for a fixed ranking the
+    Choquet integral is linear in the capacity, so the corner sum is one
+    Choquet integral of (u, 1) under the T-difference capacity: the cell's
+    block differenced along the axes of T (v at the base cancels), on the
+    complement of T plus one attribute standing for T, and 0 on coalitions
+    without that attribute.  ``samples`` points are drawn per cell from a
+    stream seeded by (seed, cell number in table order), so the result is
+    deterministic.  For |T| = 1 this integrates the almost-everywhere
+    partial derivative cell by cell.  Returns the estimate and its
+    standard error.
 
-    The k**n * 2**t Choquet evaluations per sample count against the query
-    guard; when T covers every attribute nothing is sampled, so they count once.
+    The guard counts the corners the integrand stands for, k**n * 2**t
+    Choquet evaluations per sample, so the count is conservative; when T
+    covers every attribute nothing is sampled, so they count once.
     """
     members = nonempty_members(T, v.n)
+    samples = _integer(samples, "sample count")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     n = v.n
-    comp = [i for i in range(1, n + 1) if i not in set(members)]
-    if comp and samples < 2:
+    m = n - len(members)
+    if m and samples < 2:
         raise ValueError("need at least two samples to estimate a standard error")
     check_query_size(
-        v.k**n * 2 ** len(members) * (samples if comp else 1), limit_bits, "Choquet evaluations"
+        v.k**n * 2 ** len(members) * (samples if m else 1), limit_bits, "Choquet evaluations"
     )
 
-    # corner offsets in a k = 1 table are coalition masks; unpack them to 0/1 points
-    signs, masks = corners([1 << (i - 1) for i in members])
-    points = (masks[:, None] >> np.arange(n) & 1).astype(np.float64)
-
-    comp_idx = [i - 1 for i in comp]
     means, variances = [], []
-    for ci, (vq, mu) in enumerate(_sections(v, digits(v.k, n))):
-        if not comp:
-            means.append(math.fsum(signs * (vq + _choquet_batch(mu, points, n))))
-            variances.append(0.0)
-            continue
-        rng = np.random.default_rng((seed, ci))
-        U = rng.random((samples, len(comp)))
-        g = np.zeros(samples)
-        for sign, lv in zip(signs, points):
-            W = np.broadcast_to(lv, (samples, n)).copy()
-            W[:, comp_idx] = U
-            g += sign * (vq + _choquet_batch(mu, W, n))
+    for ci, q in enumerate(profiles(n, v.k - 1)):
+        d = _cell(v, q)
+        for i in members:
+            d = np.diff(d, axis=i - 1)
+        # by complement mask, behind the zeros of the coalitions without T
+        cap = np.concatenate([np.zeros(2**m), d.ravel(order="F")])
+        U = np.random.default_rng((seed, ci)).random((samples if m else 1, m))
+        g = _choquet_batch(cap, np.hstack([U, np.ones((len(U), 1))]), m + 1)
         means.append(float(g.mean()))
-        variances.append(float(g.var(ddof=1)))
+        variances.append(float(g.var(ddof=1)) if m else 0.0)
     estimate = math.fsum(means)
     std_error = math.sqrt(math.fsum(var / samples for var in variances))
     return IntegralEstimate(estimate, std_error)

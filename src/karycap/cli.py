@@ -54,7 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_game: bool = True) -> None:
+    def common(
+        p: argparse.ArgumentParser, with_game: bool = True, emits: bool = True, tol: bool = False
+    ) -> None:
+        # --format only on verbs that emit a document, --tol only where it is read
         if with_game:
             p.add_argument("path", help="game file (canonical JSON)")
             p.add_argument(
@@ -63,8 +66,10 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="shift all values so the zero profile maps to 0",
             )
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
+        if emits:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
         p.add_argument(
             "--limit",
             type=int,
@@ -74,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("info", help="summarize a game file")
-    common(p)
+    common(p, tol=True)
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("importance", help="importance index of every attribute")
@@ -90,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_interaction)
 
     p = sub.add_parser("choquet", help="evaluate the extension at a real point")
-    common(p)
+    common(p, emits=False)
     p.add_argument("--point", required=True, help='coordinates, e.g. "0.5,0.3"')
     p.set_defaults(func=cmd_choquet)
 
@@ -102,18 +107,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--n", type=int, default=3, help="attributes for random games")
     p.add_argument("--k", type=int, default=2, help="levels for random games")
-    common(p, with_game=False)
+    common(p, with_game=False, tol=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("integral-check", help="Monte-Carlo check of one interaction")
-    common(p)
+    common(p, tol=True)
     p.add_argument("--set", dest="set_", metavar="SET", required=True)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_integral_check)
 
     p = sub.add_parser("convert", help="rewrite a game file in canonical uniform form")
-    common(p)
+    common(p, emits=False)
     p.set_defaults(func=cmd_convert)
 
     return parser

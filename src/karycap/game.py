@@ -10,6 +10,9 @@ attribute i, and ``MultichoiceGame.from_grid`` builds a game from such an
 array.  Other modules address the table only through ``grid()``: the game
 transforms below are slices, stacks and axis moves of that array, and the
 indices are slices of it followed by differences along axes.
+:func:`profiles` is the one enumerator of lattice profiles: it lists
+{0..k}^n in table order, for tabulating a function and for walking the
+unit cells of {0..k-1}^n.
 
 Games are immutable once built; every operation here is a pure function,
 so games can be shared freely across threads.
@@ -65,30 +68,8 @@ def check_query_size(
         )
 
 
-def digits(base: int, width: int) -> np.ndarray:
-    """All base**width digit rows over width columns, little-endian.
-
-    Row r holds the base-``base`` digits of r, so column 0 varies fastest;
-    this is the canonical order of a table over {0..base-1}^width.
-    """
-    grid = np.indices((base,) * width, dtype=np.int64)  # last axis fastest
-    return grid.reshape(width, base**width)[::-1].T
-
-
-def corners(strides: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Signs and flat offsets of the 2**t corners of a cell with t edges.
-
-    Corner number ``bits`` (ascending) steps along edge j, by strides[j],
-    when bit j is set; its sign is (-1)**(t - popcount(bits)).
-    """
-    signs, offsets = [(-1.0) ** len(strides)], [0]
-    for stride in strides:  # doubling: corners with the new bit follow those without
-        signs += [-s for s in signs]
-        offsets += [o + stride for o in offsets]
-    return np.array(signs), np.array(offsets, dtype=np.int64)
-
-
-def _profiles(n: int, k: int) -> Iterator[LatticePoint]:
+def profiles(n: int, k: int) -> Iterator[LatticePoint]:
+    """All profiles of {0..k}^n in canonical table order (attribute 1 fastest)."""
     # product varies its last slot fastest; reversed, attribute 1 is fastest
     return (p[::-1] for p in product(range(k + 1), repeat=n))
 
@@ -194,7 +175,7 @@ class MultichoiceGame:
     ) -> "MultichoiceGame":
         """Tabulate fn over the whole grid; fn must vanish at the zero profile."""
         check_table_size(n, k)
-        return cls(n, k, np.array([fn(x) for x in _profiles(n, k)], dtype=np.float64))
+        return cls(n, k, np.array([fn(x) for x in profiles(n, k)], dtype=np.float64))
 
     def value(self, x: Sequence[int]) -> float:
         """Game value at profile x."""
@@ -202,7 +183,7 @@ class MultichoiceGame:
 
     def points(self) -> Iterable[LatticePoint]:
         """All lattice profiles in canonical table order."""
-        return _profiles(self.n, self.k)
+        return profiles(self.n, self.k)
 
     @classmethod
     def from_grid(cls, grid: np.ndarray, meta: dict | None = None) -> "MultichoiceGame":
@@ -222,7 +203,8 @@ class MultichoiceGame:
 
 def min_game(n: int, k: int) -> MultichoiceGame:
     """v(x) = min_i x_i; the standard fully conjunctive example."""
-    return MultichoiceGame.from_function(n, k, lambda x: float(min(x)))
+    check_table_size(n, k)
+    return MultichoiceGame.from_grid(np.indices((k + 1,) * n).min(axis=0))
 
 
 def discrete_derivative(v: MultichoiceGame, T: Iterable[int], x: Sequence[int]) -> float:
@@ -389,7 +371,6 @@ def random_game(
         vals = vals / vals[-1]
     else:  # additive
         weights = rng.uniform(0.0, 1.0, n)
-        vals = np.zeros(size)
-        for weight, level in zip(weights, digits(k + 1, n).T):
-            vals += weight * level
+        levels = np.indices((k + 1,) * n)  # levels[i-1] holds the level of attribute i
+        vals = sum(weight * level for weight, level in zip(weights, levels)).ravel(order="F")
     return MultichoiceGame(n, k, vals, {"seed": int(seed), "kind": kind})

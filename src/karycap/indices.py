@@ -25,6 +25,7 @@ reduced games where a coalition moves as a single macro attribute.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -47,6 +48,7 @@ from .game import (
 METHODS = ("closed_form", "derivative_sum", "recursive", "cellsum")
 
 
+@functools.cache
 def shapley_coefficient(n: int, t: int, s: int, kap: int) -> Fraction:
     """Exact class coefficient (n-s-t)! kap! / (n-s+kap-t+1)!.
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .game import (
     MultichoiceGame,
+    _integer,
     add_games,
     check_table_size,
     members_tuple,
@@ -141,6 +142,7 @@ def verify_axiom(
     """
     if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r}, expected one of {AXIOMS}")
+    trials = _integer(trials, "trial count")
     if trials < 1:
         raise ValueError("need at least one trial")
     if game is not None:

@@ -272,6 +272,48 @@ class TestIntegralCheck:
         assert est.std_error == 0.0
         assert_close(est.estimate, interaction(v, (1, 2, 3, 4)), 1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.sampled_from(["general", "monotone", "additive"]),
+        st.sampled_from([1e-6, 1.0, 1e6]),
+        st.integers(0, 2**31),
+        st.data(),
+    )
+    def test_matches_per_corner_sum(self, n, k, kind, scale, seed, data):
+        # the definition: per sample, the signed sum of the extension over the
+        # T-corners of the cell, drawn from the stream of the cell's table number
+        v = MultichoiceGame(n, k, random_game(seed, n, k, kind).values * scale)
+        T = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
+        comp = [i - 1 for i in range(1, n + 1) if i not in T]
+        samples = 5
+        means, variances = [], []
+        for ci, q in enumerate(p[::-1] for p in product(range(k), repeat=n)):
+            U = np.random.default_rng((seed, ci)).random((samples if comp else 1, len(comp)))
+            g = []
+            for u in U:
+                total = 0.0
+                for a in range(len(T) + 1):
+                    for K in combinations(T, a):
+                        z = np.array(q, dtype=np.float64)
+                        z[[i - 1 for i in K]] += 1.0
+                        z[comp] += u
+                        total += (-1.0) ** (len(T) - a) * _eval_in_cell(v, q, z)
+                g.append(total)
+            means.append(float(np.mean(g)))
+            variances.append(float(np.var(g, ddof=1)) if comp else 0.0)
+        est = integral_check(v, T, samples, seed)
+        bound = 1e-12 * max(1.0, float(np.abs(v.values).max()))
+        assert_close(est.estimate, math.fsum(means), bound)
+        assert_close(est.std_error, math.sqrt(math.fsum(var / samples for var in variances)), bound)
+
+    @pytest.mark.parametrize("samples", [2.5, True, "3"])
+    @pytest.mark.parametrize("T", [(1,), (1, 2)])
+    def test_rejects_non_integer_samples(self, m2, T, samples):
+        with pytest.raises(ValueError, match="not an integer"):
+            integral_check(m2, T, samples, 1)
+
     def test_rejects_bad_arguments(self, m2):
         with pytest.raises(ValueError):
             integral_check(m2, (), 10, 1)

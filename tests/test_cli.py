@@ -273,6 +273,15 @@ class TestExitCodes:
             main(["interaction"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["importance", "--tol", "1"], ["choquet", "--point", "1,1", "--format", "csv"]],
+    )
+    def test_flag_the_verb_does_not_read_is_usage_error(self, capsys, min2_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], min2_path, *argv[1:]])
+        assert exc.value.code == 2
+
     def test_report_written_to_file(self, capsys, min2_path, tmp_path):
         out_path = str(tmp_path / "report.json")
         code, out, _ = run(capsys, "importance", min2_path, "--out", out_path)

@@ -16,9 +16,7 @@ from karycap import (
 from karycap.game import (
     GAME_KINDS,
     add_games,
-    corners,
     decode_index,
-    digits,
     discrete_derivative,
     encode_index,
     kernel,
@@ -30,14 +28,6 @@ from karycap.game import (
 )
 from karycap.verify import make_invariance_partner, make_null_extension
 from conftest import delta_recursive
-
-
-def corners_by_bits(strides):
-    # per-bit loop over corner numbers: the reference for corners()
-    t = len(strides)
-    signs = [(-1.0) ** (t - bits.bit_count()) for bits in range(2**t)]
-    offsets = [sum(strides[j] for j in range(t) if bits >> j & 1) for bits in range(2**t)]
-    return signs, offsets
 
 
 class TestEncoding:
@@ -67,19 +57,6 @@ class TestEncoding:
 
 
 class TestGridHelpers:
-    @given(st.integers(1, 4), st.integers(0, 4))
-    def test_digits_round_trip_through_encode_index(self, base, width):
-        rows = digits(base, width)
-        assert rows.shape == (base**width, width)
-        assert [encode_index(row.tolist(), width, base - 1) for row in rows] == list(
-            range(base**width)
-        )
-
-    @given(st.lists(st.integers(0, 10**6), max_size=6))
-    def test_corners_match_per_bit_loop(self, strides):
-        signs, offsets = corners(strides)
-        assert (signs.tolist(), offsets.tolist()) == corners_by_bits(strides)
-
     @given(st.integers(1, 4), st.integers(1, 3))
     def test_points_are_decoded_indices_of_python_ints(self, n, k):
         points = list(min_game(n, k).points())
@@ -215,6 +192,15 @@ class TestGameConstruction:
 
     def test_min_game_table(self, m2):
         assert m2.values.tolist() == [0, 0, 0, 0, 1, 1, 0, 1, 2]
+
+    @pytest.mark.parametrize("n, k", list(product(range(1, 5), range(1, 4))))
+    def test_min_game_matches_tabulated_min(self, n, k):
+        want = MultichoiceGame.from_function(n, k, lambda x: float(min(x)))
+        assert min_game(n, k).values.tobytes() == want.values.tobytes()
+
+    def test_min_game_refused_before_allocating(self):
+        with pytest.raises(SizeLimitError, match="28-bit"):
+            min_game(30, 3)
 
     def test_value_lookup(self, m2):
         assert m2.value((1, 2)) == 1.0

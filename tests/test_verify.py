@@ -189,6 +189,11 @@ class TestVerifyAxiom:
         with pytest.raises(ValueError):
             verify_axiom("Z", 1, 1, 2, 2)
 
+    @pytest.mark.parametrize("trials", [2.5, True, "3"])
+    def test_rejects_non_integer_trials(self, trials):
+        with pytest.raises(ValueError, match="not an integer"):
+            verify_axiom("E", trials, 1, 2, 2)
+
     def test_invariance_needs_multiple_levels(self):
         with pytest.raises(ValueError):
             verify_axiom("I", 1, 1, 3, 1)
