@@ -23,7 +23,6 @@ from .indices import (
 )
 from .choquet import (
     IntegralEstimate,
-    SectionCapacity,
     choquet_capacity,
     choquet_kary,
     classical_interaction,
@@ -41,7 +40,6 @@ __all__ = [
     "GameFormatError",
     "IntegralEstimate",
     "MultichoiceGame",
-    "SectionCapacity",
     "SizeLimitError",
     "VerificationReport",
     "check_lemma4",

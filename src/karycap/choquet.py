@@ -3,8 +3,10 @@
 Each unit cell of the level grid induces a classical capacity (the
 section capacity) from the corner differences of the game; inside the
 cell the extension is the classical Choquet integral of that capacity,
-offset by the game value at the cell base.  The extension interpolates
-the game at every lattice point and is continuous across cell faces.
+offset by the game value at the cell base.  A section capacity is a
+k = 1 game, whose extension is its Choquet integral.  The extension
+interpolates the game at every lattice point and is continuous across
+cell faces.
 
 The interaction index of a coalition splits cell by cell: it equals the
 sum over all cells of the classical interaction index of the section
@@ -22,7 +24,6 @@ one Choquet integral of that T-difference capacity per sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
@@ -30,46 +31,14 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .game import (
-    LatticePoint,
     MultichoiceGame,
     _integer,
+    _profile,
+    _seed,
     check_query_size,
-    encode_index,
-    members_tuple,
     nonempty_members,
     profiles,
 )
-
-
-@dataclass(frozen=True)
-class SectionCapacity:
-    """Classical capacity induced by a game on one unit cell.
-
-    ``mu`` is indexed by coalition bitmask (bit i-1 for attribute i) and
-    holds v(cell base raised by one on the coalition) - v(cell base);
-    the empty coalition maps to 0 by construction.
-    """
-
-    n: int
-    base_cell: LatticePoint
-    mu: np.ndarray
-
-    def weight(self, members: Iterable[int]) -> float:
-        mask = 0
-        for i in members_tuple(members, self.n):
-            mask |= 1 << (i - 1)
-        return float(self.mu[mask])
-
-    def as_dict(self) -> dict[tuple[int, ...], float]:
-        out = {}
-        for mask in range(2**self.n):
-            T = tuple(i + 1 for i in range(self.n) if mask >> i & 1)
-            out[T] = float(self.mu[mask])
-        return out
-
-    def as_game(self) -> MultichoiceGame:
-        """The section capacity viewed as a two-level game (k = 1)."""
-        return MultichoiceGame(self.n, 1, self.mu)
 
 
 def _cell(v: MultichoiceGame, q: Sequence[int]) -> np.ndarray:
@@ -87,11 +56,9 @@ def _section(v: MultichoiceGame, q: Sequence[int]) -> tuple[float, np.ndarray]:
     return block[0], block - block[0]
 
 
-def section_capacity(v: MultichoiceGame, q: Sequence[int]) -> SectionCapacity:
-    """Capacity of the unit cell with base q, q in {0..k-1}^n."""
-    encode_index(q, v.n, v.k - 1)  # q must be a point of the cell grid {0..k-1}^n
-    q = tuple(int(qi) for qi in q)
-    return SectionCapacity(v.n, q, _section(v, q)[1])
+def section_capacity(v: MultichoiceGame, q: Sequence[int]) -> MultichoiceGame:
+    """Capacity of the unit cell with base q, q in {0..k-1}^n, as a k = 1 game."""
+    return MultichoiceGame(v.n, 1, _section(v, _profile(q, v.n, v.k - 1))[1])
 
 
 def _choquet_batch(mu: np.ndarray, W: np.ndarray, n: int) -> np.ndarray:
@@ -112,14 +79,11 @@ def _choquet_batch(mu: np.ndarray, W: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def choquet_capacity(mu: SectionCapacity, w: Sequence[float]) -> float:
-    """Choquet integral of a point in [0, 1]^n w.r.t. a section capacity."""
-    arr = np.asarray(w, dtype=np.float64)
-    if arr.shape != (mu.n,):
-        raise ValueError(f"point has {arr.size} coordinates, expected {mu.n}")
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
-        raise ValueError(f"coordinates of {tuple(w)} must lie in [0, 1]")
-    return float(_choquet_batch(mu.mu, arr[None, :], mu.n)[0])
+def choquet_capacity(mu: MultichoiceGame, w: Sequence[float]) -> float:
+    """Choquet integral of w in [0, 1]^n w.r.t. a capacity: :func:`choquet_kary` at k = 1."""
+    if mu.k != 1:
+        raise ValueError(f"defined for k = 1 games only, got k = {mu.k}")
+    return choquet_kary(mu, w)
 
 
 def _eval_in_cell(v: MultichoiceGame, q: Sequence[int], z: np.ndarray) -> float:
@@ -230,6 +194,7 @@ def integral_check(
     covers every attribute nothing is sampled, so they count once.
     """
     members = nonempty_members(T, v.n)
+    seed = _seed(seed)
     samples = _integer(samples, "sample count")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")

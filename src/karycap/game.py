@@ -3,16 +3,16 @@
 A game assigns a real value to every profile of attribute levels and maps
 the all-zeros profile to 0.  Attributes are numbered 1..n.  Value tables
 are stored densely in little-endian mixed-radix order: attribute 1 is the
-least significant digit, so profile x has flat index sum(x[i] * (k+1)**i).
-:class:`MultichoiceGame` alone knows this layout.  ``v.grid()`` views the
-table as an n-dimensional array whose axis i-1 carries the level of
-attribute i, and ``MultichoiceGame.from_grid`` builds a game from such an
-array.  Other modules address the table only through ``grid()``: the game
-transforms below are slices, stacks and axis moves of that array, and the
-indices are slices of it followed by differences along axes.
-:func:`profiles` is the one enumerator of lattice profiles: it lists
-{0..k}^n in table order, for tabulating a function and for walking the
-unit cells of {0..k-1}^n.
+least significant digit.  :class:`MultichoiceGame` alone knows this
+layout.  ``v.grid()`` views the table as an n-dimensional array whose
+axis i-1 carries the level of attribute i, and it is the only address of
+the table: a validated profile indexes it directly, the game transforms
+below are slices, stacks and axis moves of it, and the indices are
+slices of it followed by differences along axes;
+``MultichoiceGame.from_grid`` builds a game from such an array.  A
+classical capacity is the game with k = 1.  :func:`profiles` is the one
+enumerator of lattice profiles: it lists {0..k}^n in table order, for
+tabulating a function and for walking the unit cells of {0..k-1}^n.
 
 Games are immutable once built; every operation here is a pure function,
 so games can be shared freely across threads.
@@ -47,6 +47,7 @@ class SizeLimitError(ValueError):
 def check_table_size(n: int, k: int, limit_bits: int | None = None) -> None:
     """Fail fast if a dense (k+1)**n table would blow the size budget."""
     bits = limit_bits if limit_bits is not None else DEFAULT_TABLE_BITS
+    n, k = _integer(n, "attribute count n"), _integer(k, "top level k")
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     if n * math.log2(k + 1) > bits:
@@ -74,28 +75,15 @@ def profiles(n: int, k: int) -> Iterator[LatticePoint]:
     return (p[::-1] for p in product(range(k + 1), repeat=n))
 
 
-def encode_index(x: Sequence[int], n: int, k: int) -> int:
-    """Flat table index of profile x: little-endian base (k+1) digits."""
+def _profile(x: Sequence[int], n: int, k: int) -> LatticePoint:
+    """Validate a profile of {0..k}^n: n integer levels, each in [0, k]."""
     if len(x) != n:
         raise ValueError(f"profile has {len(x)} components, expected {n}")
-    idx = 0
-    for i in range(n - 1, -1, -1):
-        xi = _integer(x[i], "profile component")
+    levels = tuple(_integer(xi, "profile component") for xi in x)
+    for i, xi in enumerate(levels, 1):
         if not 0 <= xi <= k:
-            raise ValueError(f"component {i + 1} is {xi}, outside [0, {k}]")
-        idx = idx * (k + 1) + xi
-    return idx
-
-
-def decode_index(idx: int, n: int, k: int) -> LatticePoint:
-    """Inverse of :func:`encode_index`."""
-    if not 0 <= idx < (k + 1) ** n:
-        raise ValueError(f"index {idx} out of range for n={n}, k={k}")
-    out = []
-    for _ in range(n):
-        out.append(idx % (k + 1))
-        idx //= k + 1
-    return tuple(out)
+            raise ValueError(f"component {i} is {xi}, outside [0, {k}]")
+    return levels
 
 
 def support(x: Sequence[int]) -> Coalition:
@@ -103,15 +91,17 @@ def support(x: Sequence[int]) -> Coalition:
     return tuple(i + 1 for i, xi in enumerate(x) if xi > 0)
 
 
-def kernel(x: Sequence[int], k: int) -> Coalition:
-    """Attributes sitting at the top level k, as 1-based indices."""
-    return tuple(i + 1 for i, xi in enumerate(x) if xi == k)
-
-
 def _integer(x, what: str) -> int:
     if not isinstance(x, (bool, np.bool_)) and hasattr(type(x), "__index__"):
         return operator.index(x)
     raise ValueError(f"{what} {x!r} is not an integer")
+
+
+def _seed(seed) -> int:
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative")
+    return seed
 
 
 def members_tuple(T: Iterable[int], n: int) -> Coalition:
@@ -148,6 +138,8 @@ class MultichoiceGame:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integer(self.n, "attribute count n"))
+        object.__setattr__(self, "k", _integer(self.k, "top level k"))
         if self.n < 1 or self.k < 1:
             raise ValueError(f"need n >= 1 and k >= 1, got n={self.n}, k={self.k}")
         vals = np.array(self.values, dtype=np.float64)  # private copy, then frozen
@@ -179,11 +171,7 @@ class MultichoiceGame:
 
     def value(self, x: Sequence[int]) -> float:
         """Game value at profile x."""
-        return float(self.values[encode_index(x, self.n, self.k)])
-
-    def points(self) -> Iterable[LatticePoint]:
-        """All lattice profiles in canonical table order."""
-        return profiles(self.n, self.k)
+        return float(self.grid()[_profile(x, self.n, self.k)])
 
     @classmethod
     def from_grid(cls, grid: np.ndarray, meta: dict | None = None) -> "MultichoiceGame":
@@ -214,10 +202,10 @@ def discrete_derivative(v: MultichoiceGame, T: Iterable[int], x: Sequence[int]) 
     difference along the attributes of T.
     """
     members = nonempty_members(T, v.n)
-    encode_index(x, v.n, v.k)  # a profile, before its levels become slice bounds
+    x = _profile(x, v.n, v.k)  # validated before its levels become slice bounds
     for i in members:
         if x[i - 1] >= v.k:
-            raise ValueError(f"attribute {i} already at top level in {tuple(x)}")
+            raise ValueError(f"attribute {i} already at top level in {x}")
     cell = v.grid()[tuple(
         slice(xi, xi + 2) if i in members else slice(xi, xi + 1) for i, xi in enumerate(x, 1)
     )]
@@ -239,14 +227,13 @@ def extend_heterogeneous(
     level of a short attribute is duplicated upward.  ``k`` defaults to
     max(k_list) and may be set higher.
     """
-    k_list = [int(ki) for ki in k_list]
+    k_list = [_integer(ki, "level count") for ki in k_list]
     n = len(k_list)
     if n < 1 or any(ki < 1 for ki in k_list):
         raise ValueError(f"per-attribute level counts must be >= 1, got {k_list}")
     kmax = max(k_list)
-    if k is None:
-        k = kmax
-    elif k < kmax:
+    k = kmax if k is None else _integer(k, "top level k")
+    if k < kmax:
         raise ValueError(f"target k={k} below max(k_list)={kmax}")
     check_table_size(n, k, limit_bits)
     expected = math.prod(ki + 1 for ki in k_list)
@@ -326,6 +313,7 @@ def permute_attributes(v: MultichoiceGame, sigma: Sequence[int]) -> MultichoiceG
     ``sigma[i-1]`` is the new 1-based index of attribute i, so the level
     that v reads at attribute i is read by w at attribute sigma(i).
     """
+    sigma = [_integer(s, "permutation entry") for s in sigma]
     if sorted(sigma) != list(range(1, v.n + 1)):
         raise ValueError(f"{tuple(sigma)} is not a permutation of 1..{v.n}")
     return MultichoiceGame.from_grid(np.moveaxis(v.grid(), range(v.n), [s - 1 for s in sigma]))
@@ -356,6 +344,7 @@ def random_game(
     if kind not in GAME_KINDS:
         raise ValueError(f"kind must be one of {GAME_KINDS}, got {kind!r}")
     check_table_size(n, k, limit_bits)
+    seed = _seed(seed)
     rng = np.random.default_rng(seed)
     size = (k + 1) ** n
     if kind == "general":
@@ -373,4 +362,4 @@ def random_game(
         weights = rng.uniform(0.0, 1.0, n)
         levels = np.indices((k + 1,) * n)  # levels[i-1] holds the level of attribute i
         vals = sum(weight * level for weight, level in zip(weights, levels)).ravel(order="F")
-    return MultichoiceGame(n, k, vals, {"seed": int(seed), "kind": kind})
+    return MultichoiceGame(n, k, vals, {"seed": seed, "kind": kind})

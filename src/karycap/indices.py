@@ -37,8 +37,9 @@ from .choquet import classical_interaction, interaction_cellsum
 from .game import (
     Coalition,
     MultichoiceGame,
+    _integer,
+    _profile,
     check_query_size,
-    encode_index,
     members_tuple,
     nonempty_members,
     reduce_group,
@@ -173,7 +174,7 @@ def lattice_point_interaction(v: MultichoiceGame, x: Sequence[int]) -> float:
     them sit at the top.  At k = 1 and x the indicator of a coalition S
     this is the classical interaction index of S.
     """
-    encode_index(x, v.n, v.k)  # a profile, before its levels become slice bounds
+    x = _profile(x, v.n, v.k)  # validated before its levels become slice bounds
     J = support(x)
     if not J:
         raise ValueError("x must have nonempty support")
@@ -217,6 +218,7 @@ def interaction_all_upto(
     the singleton rows ``(i,)`` double as the importance vector.
     ``method`` is one of closed_form, derivative_sum, recursive, cellsum.
     """
+    m = _integer(m, "max order")
     if not 1 <= m <= v.n:
         raise ValueError(f"max order {m} outside 1..{v.n}")
     return {

@@ -20,6 +20,7 @@ import numpy as np
 from .game import (
     MultichoiceGame,
     _integer,
+    _seed,
     add_games,
     check_table_size,
     members_tuple,
@@ -73,6 +74,7 @@ def make_null_extension(
     The new game ignores the inserted attribute's level entirely, so its
     importance and every interaction involving it must vanish.
     """
+    position = _integer(position, "position")
     if not 1 <= position <= v.n + 1:
         raise ValueError(f"position {position} outside 1..{v.n + 1}")
     check_table_size(v.n + 1, v.k, limit_bits)
@@ -145,6 +147,7 @@ def verify_axiom(
     trials = _integer(trials, "trial count")
     if trials < 1:
         raise ValueError("need at least one trial")
+    seed = _seed(seed)
     if game is not None:
         n, k = game.n, game.k
     if axiom == "I" and k < 2:
@@ -204,15 +207,15 @@ def _check_efficiency(report, rng, ts, v, tol, bits):
 
 
 def _check_recursion(report, rng, ts, v, tol, bits):
+    parts = {i: (restrict_present_top(v, i), restrict_absent(v, (i,))) for i in range(1, v.n + 1)}
     for T in _coalitions_upto(v.n, MAX_ORDER):
         if len(T) < 2:
             continue
         lhs = interaction(v, T, bits)
         for i in T:
             rest = _drop_and_renumber(T, i)
-            rhs = interaction(restrict_present_top(v, i), rest, bits) - interaction(
-                restrict_absent(v, (i,)), rest, bits
-            )
+            top, absent = parts[i]
+            rhs = interaction(top, rest, bits) - interaction(absent, rest, bits)
             report.record(tol, ts, T + ("drop", i), lhs, rhs)
 
 
@@ -234,7 +237,7 @@ def check_lemma4(n: int) -> VerificationReport:
     (n-b-1)! a! / (n-b+a)! as an exact rational.  The b = n edge case is
     excluded: its right-hand side has no meaning (negative factorial).
     """
-    if n < 1:
+    if _integer(n, "attribute count n") < 1:
         raise ValueError("need n >= 1")
     report = VerificationReport(axiom="lemma4", trials=0, note=f"n={n}, all 0<=a<=b<n")
     for b in range(n):

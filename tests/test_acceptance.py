@@ -102,7 +102,7 @@ def test_criterion_4_axiom_suite():
 def test_criterion_5_cell_sum_identity():
     m2 = min_game(2, 2)
     cells = [
-        classical_interaction(section_capacity(m2, q).as_game(), (1, 2))
+        classical_interaction(section_capacity(m2, q), (1, 2))
         for q in [(0, 0), (0, 1), (1, 0), (1, 1)]
     ]
     hand_ok = cells == [1.0, 0.0, 0.0, 1.0] and interaction_cellsum(m2, (1, 2)) == 2.0

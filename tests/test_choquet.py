@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from karycap import (
     MultichoiceGame,
-    SectionCapacity,
     SizeLimitError,
     choquet_capacity,
     choquet_kary,
@@ -22,7 +21,7 @@ from karycap.choquet import _eval_in_cell
 from conftest import assert_close
 
 
-def choquet_oracle(mu: SectionCapacity, w) -> float:
+def choquet_oracle(mu: MultichoiceGame, w) -> float:
     """Level-set evaluation: integral over s of mu({i : w_i >= s}).
 
     The level set is constant between consecutive distinct coordinate
@@ -33,32 +32,40 @@ def choquet_oracle(mu: SectionCapacity, w) -> float:
     for t in sorted(set(w)):
         if t <= prev:
             continue
-        members = tuple(i + 1 for i, wi in enumerate(w) if wi >= t)
-        total += (t - prev) * mu.weight(members)
+        total += (t - prev) * mu.value([int(wi >= t) for wi in w])
         prev = t
     return total
 
 
 class TestSectionCapacity:
     def test_min_game_cells(self, m2):
+        # a k = 1 game: profile (1, 0) is coalition {1}, (1, 1) is {1, 2}
         mu00 = section_capacity(m2, (0, 0))
-        assert mu00.weight((1,)) == 0.0
-        assert mu00.weight((2,)) == 0.0
-        assert mu00.weight((1, 2)) == 1.0
+        assert (mu00.n, mu00.k) == (2, 1)
+        assert mu00.value((1, 0)) == 0.0
+        assert mu00.value((0, 1)) == 0.0
+        assert mu00.value((1, 1)) == 1.0
         mu10 = section_capacity(m2, (1, 0))
-        assert mu10.weight((1,)) == 0.0
-        assert mu10.weight((2,)) == 1.0
-        assert mu10.weight((1, 2)) == 1.0
+        assert mu10.value((1, 0)) == 0.0
+        assert mu10.value((0, 1)) == 1.0
+        assert mu10.value((1, 1)) == 1.0
 
     def test_empty_weight_always_zero(self):
         v = random_game(5, 3, 3, "general")
         for q in product(range(3), repeat=3):
-            assert section_capacity(v, q).weight(()) == 0.0
+            assert section_capacity(v, q).value((0, 0, 0)) == 0.0
 
-    def test_as_dict_covers_all_coalitions(self, m2):
-        d = section_capacity(m2, (1, 1)).as_dict()
-        assert set(d) == {(), (1,), (2,), (1, 2)}
-        assert d[(1, 2)] == 1.0
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**31), st.data())
+    def test_raises_the_cell_base_on_each_coalition(self, n, k, seed, data):
+        # mu(S) = v(q + 1_S) - v(q), one entry per coalition S
+        v = random_game(seed, n, k, "general")
+        q = tuple(data.draw(st.integers(0, k - 1)) for _ in range(n))
+        mu = section_capacity(v, q)
+        assert mu.values.size == 2**n
+        for S in product((0, 1), repeat=n):
+            lifted = [qi + si for qi, si in zip(q, S)]
+            assert mu.value(S) == v.value(lifted) - v.value(q)
 
     def test_rejects_top_component(self, m2):
         with pytest.raises(ValueError):
@@ -80,7 +87,7 @@ class TestSectionCapacity:
 
 class TestChoquetCapacity:
     def _mu(self, w1, w2, w12):
-        return SectionCapacity(2, (0, 0), np.array([0.0, w1, w2, w12]))
+        return MultichoiceGame.from_values(2, 1, [0.0, w1, w2, w12])
 
     def test_hand_value(self):
         mu = self._mu(0.2, 0.5, 1.0)
@@ -91,8 +98,8 @@ class TestChoquetCapacity:
         mu = section_capacity(v, (0, 1, 0))
         for r in range(4):
             for T in combinations(range(1, 4), r):
-                w = tuple(1.0 if i in T else 0.0 for i in range(1, 4))
-                assert_close(choquet_capacity(mu, w), mu.weight(T), 1e-12)
+                x = tuple(int(i in T) for i in range(1, 4))
+                assert_close(choquet_capacity(mu, x), mu.value(x), 1e-12)
 
     def test_constant_is_scaled_total(self):
         mu = self._mu(0.3, 0.8, 1.7)
@@ -116,6 +123,26 @@ class TestChoquetCapacity:
             choquet_capacity(mu, (1.2, 0.0))
         with pytest.raises(ValueError, match="must lie in"):
             choquet_capacity(mu, (float("nan"), 0.5))
+
+    def test_rejects_multilevel_games(self, m2):
+        with pytest.raises(ValueError, match="k = 1"):
+            choquet_capacity(m2, (0.5, 0.5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.sampled_from(["general", "monotone", "additive"]),
+        st.integers(0, 2**31),
+        st.data(),
+    )
+    def test_extension_in_a_cell_is_its_capacity(self, n, k, kind, seed, data):
+        # inside the cell at base q the extension is v(q) plus the capacity's integral
+        v = random_game(seed, n, k, kind)
+        q = tuple(data.draw(st.integers(0, k - 1)) for _ in range(n))
+        w = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        want = choquet_kary(v, np.add(q, w)) - v.value(q)
+        assert_close(choquet_capacity(section_capacity(v, q), w), want, 1e-12)
 
 
 class TestChoquetKary:
@@ -174,7 +201,7 @@ class TestChoquetKary:
 class TestCellSum:
     def test_min_game_per_cell_contributions(self, m2):
         contributions = [
-            classical_interaction(section_capacity(m2, q).as_game(), (1, 2))
+            classical_interaction(section_capacity(m2, q), (1, 2))
             for q in [(0, 0), (0, 1), (1, 0), (1, 1)]
         ]
         assert contributions == [1.0, 0.0, 0.0, 1.0]
@@ -220,7 +247,7 @@ class TestCellSum:
         v = MultichoiceGame(n, k, v.values * scale)
         T = data.draw(st.sets(st.integers(1, n), min_size=1))
         per_cell = math.fsum(
-            classical_interaction(section_capacity(v, q).as_game(), T)
+            classical_interaction(section_capacity(v, q), T)
             for q in product(range(k), repeat=n)
         )
         bound = 1e-12 * max(1.0, float(np.abs(v.values).max()))

@@ -16,57 +16,80 @@ from karycap import (
 from karycap.game import (
     GAME_KINDS,
     add_games,
-    decode_index,
+    check_table_size,
     discrete_derivative,
-    encode_index,
-    kernel,
     permute_attributes,
+    profiles,
     reduce_group,
     restrict_absent,
     restrict_present_top,
     support,
 )
-from karycap.verify import make_invariance_partner, make_null_extension
+from karycap.choquet import integral_check
+from karycap.verify import make_invariance_partner, make_null_extension, verify_axiom
 from conftest import delta_recursive
 
 
+def flat_index(x, k):
+    # little-endian base (k+1) digits: attribute 1 is the least significant
+    return sum(xi * (k + 1) ** i for i, xi in enumerate(x))
+
+
+def digits(idx, n, k):
+    # the inverse of flat_index
+    return tuple(idx // (k + 1) ** i % (k + 1) for i in range(n))
+
+
+def counting_game(n, k):
+    # the value at each profile is its flat table index
+    return MultichoiceGame.from_values(n, k, range((k + 1) ** n))
+
+
 class TestEncoding:
+    """value() reads the flat little-endian table through grid()."""
+
     def test_hand_values(self):
-        assert encode_index((0, 0), 2, 2) == 0
-        assert encode_index((2, 1), 2, 2) == 5
-        assert encode_index((2, 2), 2, 2) == 8
+        v = counting_game(2, 2)
+        assert v.value((0, 0)) == 0.0
+        assert v.value((2, 1)) == 5.0
+        assert v.value((2, 2)) == 8.0
 
     def test_roundtrip_exhaustive(self):
         for n in (1, 2, 3, 4):
             for k in (1, 2, 3):
+                v = counting_game(n, k)
                 for idx in range((k + 1) ** n):
-                    assert encode_index(decode_index(idx, n, k), n, k) == idx
+                    assert v.value(digits(idx, n, k)) == idx
 
     @given(st.integers(1, 5), st.integers(1, 4), st.data())
     def test_roundtrip_random(self, n, k, data):
         x = tuple(data.draw(st.integers(0, k)) for _ in range(n))
-        assert decode_index(encode_index(x, n, k), n, k) == x
+        assert counting_game(n, k).value(x) == flat_index(x, k)
+        assert digits(flat_index(x, k), n, k) == x
 
     def test_out_of_range_component(self):
-        with pytest.raises(ValueError):
-            encode_index((3, 0), 2, 2)
-        with pytest.raises(ValueError):
-            encode_index((0, -1), 2, 2)
-        with pytest.raises(ValueError):
-            encode_index((0, 0, 0), 2, 2)
+        v = counting_game(2, 2)
+        with pytest.raises(ValueError, match="outside"):
+            v.value((3, 0))
+        with pytest.raises(ValueError, match="outside"):
+            v.value((0, -1))
+        with pytest.raises(ValueError, match="components"):
+            v.value((0, 0, 0))
+        with pytest.raises(ValueError, match="not an integer"):
+            v.value((True, 0))
 
 
 class TestGridHelpers:
     @given(st.integers(1, 4), st.integers(1, 3))
     def test_points_are_decoded_indices_of_python_ints(self, n, k):
-        points = list(min_game(n, k).points())
-        assert points == [decode_index(i, n, k) for i in range((k + 1) ** n)]
+        points = list(profiles(n, k))
+        assert points == [digits(i, n, k) for i in range((k + 1) ** n)]
         assert all(type(c) is int for x in points for c in x)
 
     def test_from_function_passes_points_in_table_order(self):
         seen = []
         MultichoiceGame.from_function(2, 2, lambda x: seen.append(x) or 0.0)
-        assert seen == list(min_game(2, 2).points())
+        assert seen == list(profiles(2, 2))
 
 
 def mixed_radix_index(x, k_list):
@@ -92,24 +115,24 @@ class TestLayoutContract:
     def test_transforms_match_pointwise_definitions(self, n, k, kind, seed, data):
         v = random_game(seed, n, k, kind)
         attrs = range(1, n + 1)
-        profiles = list(v.points())
+        points = list(profiles(n, k))
         grid = v.grid()
         assert grid.shape == (k + 1,) * n and not grid.flags.writeable
         assert np.shares_memory(grid, v.values)
-        assert all(grid[x] == v.value(x) for x in profiles)
+        assert all(grid[x] == v.value(x) for x in points)
         assert MultichoiceGame.from_grid(grid).values.tobytes() == v.values.tobytes()
 
         # restrict_absent: S frozen at 0, the others keep their order
         S = data.draw(st.sets(st.sampled_from(attrs), max_size=n - 1))
         w = restrict_absent(v, S)
-        for y in w.points():
+        for y in profiles(w.n, w.k):
             rest = iter(y)
             assert w.value(y) == v.value([0 if i in S else next(rest) for i in attrs])
 
         # permute_attributes: w(sigma(x)) = v(x)
         sigma = data.draw(st.permutations(attrs))
         w = permute_attributes(v, sigma)
-        for x in profiles:
+        for x in points:
             moved = [0] * n
             for i, level in zip(sigma, x):
                 moved[i - 1] = level
@@ -118,14 +141,14 @@ class TestLayoutContract:
         # make_null_extension: the inserted attribute is ignored
         position = data.draw(st.integers(1, n + 1))
         w = make_null_extension(v, position)
-        for x in w.points():
+        for x in profiles(w.n, w.k):
             assert w.value(x) == v.value(x[: position - 1] + x[position:])
 
         # reduce_group: kept attributes in order, then the macro level for A
         T = data.draw(st.sets(st.sampled_from(attrs), min_size=1))
         A = data.draw(st.sets(st.sampled_from(sorted(T)), min_size=1))
         w = reduce_group(v, T, A)
-        for y in w.points():
+        for y in profiles(w.n, w.k):
             rest = iter(y[:-1])
             x = [y[-1] if i in A else 0 if i in T else next(rest) for i in attrs]
             assert w.value(y) == v.value(x)
@@ -135,7 +158,7 @@ class TestLayoutContract:
         raw = np.random.default_rng(seed).uniform(size=math.prod(ki + 1 for ki in k_list))
         raw[0] = 0.0
         w = extend_heterogeneous(raw, k_list, k)
-        for x in profiles:
+        for x in points:
             clamped = [min(xi, ki) for xi, ki in zip(x, k_list)]
             assert w.value(x) == raw[mixed_radix_index(clamped, k_list)]
 
@@ -143,13 +166,13 @@ class TestLayoutContract:
         if n >= 2:  # restrict_present_top: i pinned at k, shifted to vanish at 0
             w = restrict_present_top(v, i)
             origin = [k if j == i else 0 for j in attrs]
-            for y in w.points():
+            for y in profiles(w.n, w.k):
                 x = list(y[: i - 1]) + [k] + list(y[i - 1 :])
                 assert w.value(y) == v.value(x) - v.value(origin)
 
         if k >= 2:  # make_invariance_partner: increments along i shifted one level up
             w = make_invariance_partner(v, i)
-            for x in profiles:
+            for x in points:
                 line = [v.value(x[: i - 1] + (level,) + x[i:]) for level in range(k + 1)]
                 shifted = [0.0] + [line[l + 1] - line[1] for l in range(1, k)] + [line[k] - line[0]]
                 assert w.value(x) == shifted[x[i - 1]]
@@ -166,10 +189,48 @@ class TestSupportKernel:
         assert support((2, 0, 1)) == (1, 3)
         assert support((2, 2)) == (1, 2)
 
-    def test_kernel(self):
-        assert kernel((0, 0), 2) == ()
-        assert kernel((2, 1), 2) == (1,)
-        assert kernel((3, 3, 3), 3) == (1, 2, 3)
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (check_table_size, (True, 2)),
+            (check_table_size, (2, 1.0)),
+            (min_game, (True, 2)),
+            (MultichoiceGame, (True, 1, [0.0, 1.0])),
+            (MultichoiceGame, (1, np.bool_(True), [0.0, 1.0])),
+            (MultichoiceGame, (1.0, 1, [0.0, 1.0])),
+            (random_game, (1, 2.5, 2)),
+            (random_game, (1, 2, True)),
+            (extend_heterogeneous, ([0.0, 1.0], [1.7])),
+            (extend_heterogeneous, ([0.0, 1.0], [True])),
+            (extend_heterogeneous, ([0.0, 1.0], [1], 2.0)),
+            (verify_axiom, ("E", 1, 1, 2, True)),
+        ],
+        ids=lambda a: getattr(a, "__name__", repr(a)),
+    )
+    def test_rejects_bool_and_float_sizes(self, build, args):
+        # n = True would otherwise run as n = 1, and 1.7 level counts as 1
+        with pytest.raises(ValueError, match="not an integer"):
+            build(*args)
+
+    def test_numpy_integer_sizes_become_python_ints(self):
+        v = MultichoiceGame(np.int64(2), np.int32(1), [0.0, 1.0, 2.0, 3.0])
+        assert (type(v.n), type(v.k)) == (int, int)
+
+    @pytest.mark.parametrize("seed", [True, 2.5, "3", -1], ids=["bool", "float", "str", "negative"])
+    def test_rejects_bad_seed(self, m2, seed):
+        for call in (
+            lambda: random_game(seed, 2, 2),
+            lambda: verify_axiom("E", 1, seed, 2, 2),
+            lambda: integral_check(m2, (1,), 10, seed),
+        ):
+            with pytest.raises(ValueError, match="^seed .* (is not an integer|is negative)$"):
+                call()
+
+    def test_numpy_integer_seed_is_the_same_seed(self):
+        a, b = random_game(np.int64(5), 2, 2), random_game(5, 2, 2)
+        assert a.values.tobytes() == b.values.tobytes() and type(a.meta["seed"]) is int
 
 
 class TestGameConstruction:
@@ -422,8 +483,7 @@ class TestPermutation:
             v = random_game(int(rng.integers(1 << 30)), n, k, "general")
             sigma = tuple(int(s) + 1 for s in rng.permutation(n))
             w = permute_attributes(v, sigma)
-            for idx in range((k + 1) ** n):
-                x = decode_index(idx, n, k)
+            for x in profiles(n, k):
                 y = [0] * n
                 for p in range(n):
                     y[sigma[p] - 1] = x[p]
@@ -432,6 +492,9 @@ class TestPermutation:
     def test_rejects_non_permutation(self, m2):
         with pytest.raises(ValueError):
             permute_attributes(m2, (1, 1))
+        for sigma in ([True, 2], [2.0, 1.0]):
+            with pytest.raises(ValueError, match="not an integer"):
+                permute_attributes(m2, sigma)
 
 
 class TestAddGames:

@@ -412,3 +412,6 @@ class TestReport:
             interaction_all_upto(m2, 3)
         with pytest.raises(ValueError):
             interaction_all_upto(m2, 2, "fancy")
+        for m in (True, 1.0):  # neither may stand for order 1
+            with pytest.raises(ValueError, match="not an integer"):
+                interaction_all_upto(m2, m)

@@ -50,6 +50,9 @@ class TestNullExtension:
             make_null_extension(m2, 0)
         with pytest.raises(ValueError):
             make_null_extension(m2, 4)
+        for position in (True, 1.0):  # neither may stand for position 1
+            with pytest.raises(ValueError, match="not an integer"):
+                make_null_extension(m2, position)
 
 
 class TestInvariancePartner:
@@ -236,3 +239,6 @@ class TestLemma4:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             check_lemma4(0)
+        for n in (True, 2.0):
+            with pytest.raises(ValueError, match="not an integer"):
+                check_lemma4(n)
