@@ -148,6 +148,11 @@ def interaction_cellsum(
     independent oracle for it.
     """
     members = nonempty_members(T, v.n)
+    return classical_interaction(_summed_capacity(v, limit_bits), members)
+
+
+def _summed_capacity(v: MultichoiceGame, limit_bits: int | None) -> MultichoiceGame:
+    """Total of the section capacities of all k**n unit cells, as a k = 1 game."""
     n, k = v.n, v.k
     check_query_size(k**n * 2**n, limit_bits)
     grid = v.grid()
@@ -158,7 +163,7 @@ def interaction_cellsum(
         (grid[tuple(slice(m >> i & 1, k + (m >> i & 1)) for i in range(n))] - low).sum()
         for m in range(2**n)
     ]
-    return classical_interaction(MultichoiceGame(n, 1, total), members)
+    return MultichoiceGame(n, 1, total)
 
 
 class IntegralEstimate(NamedTuple):

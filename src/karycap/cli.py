@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io as _io
 import json
 import math
@@ -46,6 +47,9 @@ class UsageError(Exception):
     pass
 
 
+# built once: parse_args leaves a parser unchanged, and each build costs
+# milliseconds and leaves cyclic garbage behind
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="karycap",

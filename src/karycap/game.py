@@ -46,7 +46,7 @@ class SizeLimitError(ValueError):
 
 def check_table_size(n: int, k: int, limit_bits: int | None = None) -> None:
     """Fail fast if a dense (k+1)**n table would blow the size budget."""
-    bits = limit_bits if limit_bits is not None else DEFAULT_TABLE_BITS
+    bits = DEFAULT_TABLE_BITS if limit_bits is None else _integer(limit_bits, "bit limit")
     n, k = _integer(n, "attribute count n"), _integer(k, "top level k")
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
@@ -61,7 +61,7 @@ def check_query_size(
     count: int, limit_bits: int | None = None, unit: str = "table lookups"
 ) -> None:
     """Fail fast if a query would need more than 2**bits of ``unit``."""
-    bits = limit_bits if limit_bits is not None else DEFAULT_QUERY_BITS
+    bits = DEFAULT_QUERY_BITS if limit_bits is None else _integer(limit_bits, "bit limit")
     if count > 2**bits:
         raise SizeLimitError(
             f"query needs {count} {unit}, beyond the {bits}-bit limit; "

@@ -21,6 +21,24 @@ converted to a double only when a whole class total is multiplied in.
 Two independently computable forms are provided as cross-checks: a sum
 of discrete derivatives over all unit cells, and an expansion through
 reduced games where a coalition moves as a single macro attribute.
+
+The index of every coalition at once comes from a Beta integral of the
+class coefficient,
+
+    (n - s - t)! * kap! / (n - s + kap - t + 1)! = int_0^1 x^kap (1 - x)^(n-s-t) dx,
+
+whose integrand splits over attributes, as in the multilinear extension
+of a game (Owen 1972).  At a point x, an attribute outside T weighs its
+levels 0, 1, ..., k-1, k by [1-x, 1, ..., 1, x] and an attribute in T by
+[-1, 0, ..., 0, 1], so I(T) is the integral over x of ``v.grid()``
+contracted along each axis with the row of a 2 x (k+1) matrix that the
+axis's membership in T selects.  That matrix factors as [[1, x], [0, 1]]
+times the node-free rows P = [1, ..., 1, 0] and D = [-1, 0, ..., 0, 1],
+so the table is contracted once with (P, D) and only the 2^n result is
+contracted per node.  The integrand has degree at most n - 1 in x, so
+ceil(n/2) Gauss-Legendre nodes integrate it exactly.  :func:`_index_array`
+does this; the verify suite reads its coalitions from it, while the
+per-coalition closed form above stays the reference.
 """
 
 from __future__ import annotations
@@ -33,7 +51,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .choquet import classical_interaction, interaction_cellsum
+from .choquet import _summed_capacity, classical_interaction, interaction_cellsum
 from .game import (
     Coalition,
     MultichoiceGame,
@@ -69,12 +87,20 @@ def _classes(shape: tuple[int, ...], n: int, k: int) -> np.ndarray:
 
     An entry's index along each axis is a level; support size s counts the
     levels above 0 and kernel size kap those at k, and the class id is
-    s * (n + 1) + kap.  Axes of length 1 (those of T) add nothing.
+    s * (n + 1) + kap.  Axes of length 1 (those of T) add nothing and leave
+    the F-order ravel alone, so they are dropped from the cache key.
     """
+    return _class_ids(tuple(d for d in shape if d > 1), n, k)
+
+
+@functools.lru_cache(maxsize=32)
+def _class_ids(shape: tuple[int, ...], n: int, k: int) -> np.ndarray:
     levels = np.indices(shape)
     s_arr = np.count_nonzero(levels > 0, axis=0)
     kap_arr = np.count_nonzero(levels == k, axis=0)
-    return (s_arr * (n + 1) + kap_arr).ravel(order="F")
+    cid = np.ravel(s_arr * (n + 1) + kap_arr, order="F")
+    cid.flags.writeable = False  # shared by every caller
+    return cid
 
 
 def _combine_classes(n: int, t: int, cid: np.ndarray, terms: np.ndarray) -> float:
@@ -95,6 +121,57 @@ def _closed_form(v: MultichoiceGame, members: Coalition, limit_bits: int | None)
     for i in members:
         terms = np.diff(terms, axis=i - 1)
     return _combine_classes(n, t, _classes(terms.shape, n, k), terms.ravel(order="F"))
+
+
+@functools.lru_cache(maxsize=32)
+def _nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """ceil(n/2) Gauss-Legendre nodes and weights on [0, 1].
+
+    Newton's method on the Legendre polynomial P_m, evaluated by its
+    three-term recurrence from the usual cosine guesses; weights are
+    2 / ((1 - t^2) P_m'(t)^2) on [-1, 1], halved for [0, 1].  Elementwise
+    numpy only, not Golub-Welsch: the first call of numpy's LAPACK
+    eigensolver adds about 0.8 MiB to the resident memory of a process.
+    """
+    m = (n + 1) // 2
+    t = np.cos(np.pi * (np.arange(m) + 0.75) / (m + 0.5))
+    for _ in range(100):
+        p_prev, p = np.ones(m), t
+        for j in range(2, m + 1):
+            p_prev, p = p, ((2 * j - 1) * t * p - (j - 1) * p_prev) / j
+        slope = m * (t * p - p_prev) / (t * t - 1.0)
+        step = p / slope
+        t = t - step
+        if np.abs(step).max() <= 1e-16:
+            break
+    x, w = (1.0 - t) / 2.0, 1.0 / ((1.0 - t * t) * slope * slope)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _index_array(v: MultichoiceGame, limit_bits: int | None = None) -> np.ndarray:
+    """Closed-form index of every coalition at once, by membership bits.
+
+    Returns an array of shape (2,) * n whose entry at bits b is I(T) for
+    T = {i : b[i-1] = 1}; the all-zeros entry is not an index.  See the
+    module docstring for the contraction; the guard counts the whole table.
+    """
+    n, k = v.n, v.k
+    check_query_size((k + 1) ** n, limit_bits)
+    # each axis: its entry 0 sums levels 0..k-1 (row P), entry 1 is top minus bottom (D)
+    h = v.grid()
+    for ax in range(n):
+        lower = h[(slice(None),) * ax + (slice(0, k),)].sum(axis=ax)
+        top_minus_bottom = np.take(h, k, axis=ax) - np.take(h, 0, axis=ax)
+        h = np.stack([lower, top_minus_bottom], axis=ax)
+    # per node x: on each axis, entry 0 (i not in T) becomes P + x D, entry 1 stays D
+    x, w = _nodes(n)
+    g = np.repeat(h[None], len(x), axis=0)
+    x = x.reshape((-1,) + (1,) * (n - 1))
+    for ax in range(1, n + 1):
+        out = (slice(None),) * ax
+        g[out + (0,)] += x * g[out + (1,)]
+    return (w.reshape((-1,) + (1,) * n) * g).sum(axis=0)
 
 
 def importance(v: MultichoiceGame, i: int, limit_bits: int | None = None) -> float:
@@ -216,13 +293,15 @@ def interaction_all_upto(
 
     Keys are sorted member tuples, by order and then lexicographically, so
     the singleton rows ``(i,)`` double as the importance vector.
-    ``method`` is one of closed_form, derivative_sum, recursive, cellsum.
+    ``method`` is one of closed_form, derivative_sum, recursive, cellsum;
+    cellsum sums the cells' capacities once and indexes every coalition
+    in that one k = 1 game, as :func:`interaction_cellsum` does for one.
     """
     m = _integer(m, "max order")
     if not 1 <= m <= v.n:
         raise ValueError(f"max order {m} outside 1..{v.n}")
-    return {
-        T: interaction_by_method(v, T, method, limit_bits)
-        for size in range(1, m + 1)
-        for T in combinations(range(1, v.n + 1), size)
-    }
+    coalitions = [T for size in range(1, m + 1) for T in combinations(range(1, v.n + 1), size)]
+    if method == "cellsum":
+        total = _summed_capacity(v, limit_bits)
+        return {T: classical_interaction(total, T) for T in coalitions}
+    return {T: interaction_by_method(v, T, method, limit_bits) for T in coalitions}

@@ -4,8 +4,11 @@ Each axiom of the interaction index (linearity, null attribute,
 increment invariance, symmetry, efficiency, recursion) is turned into a
 seeded randomized check: draw games, build the transformed partner the
 axiom talks about, and compare both sides of its equation numerically.
-Reports collect every violation above tolerance, so a passing report
-means the whole trial batch stayed within bounds.
+Each game a check builds is indexed once, by one all-coalition pass of
+:mod:`karycap.indices` (one index array per game), and the coalitions of
+the equation are read out of those arrays.  Reports collect every
+violation above tolerance, so a passing report means the whole trial
+batch stayed within bounds.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .game import (
     restrict_absent,
     restrict_present_top,
 )
-from .indices import importance, interaction
+from .indices import _index_array
 
 AXIOMS = ("L", "N", "I", "S", "E", "R")
 
@@ -118,6 +121,15 @@ def _coalitions_upto(n: int, max_order: int, containing: int | None = None):
                 yield T
 
 
+def _mask(T) -> int:
+    return sum(1 << (i - 1) for i in T)
+
+
+def _indices(v: MultichoiceGame, bits: int | None) -> list[float]:
+    # the index of every coalition of v, at the coalition's mask (bit i-1 for i)
+    return _index_array(v, bits).ravel(order="F").tolist()
+
+
 def _drop_and_renumber(T: tuple[int, ...], i: int) -> tuple[int, ...]:
     # coalition T without i, renumbered for the game with attribute i removed
     return tuple(j - 1 if j > i else j for j in T if j != i)
@@ -138,15 +150,18 @@ def verify_axiom(
     Draws fresh games per trial (or reuses ``game`` as the base subject
     while still drawing random partners, permutations and positions) and
     records every equation violation above ``tol * max(1, max|v|)``, v the
-    trial's base game.  ``limit_bits`` overrides the size guards of every
-    game built and every index query made.  Deterministic for a given
-    (axiom, trials, seed, n, k, game).
+    trial's base game; a NaN ``tol`` is rejected.  ``limit_bits``
+    overrides the size guards of every game built and of the index array
+    computed for each.  Deterministic for a given (axiom, trials, seed,
+    n, k, game).
     """
     if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r}, expected one of {AXIOMS}")
     trials = _integer(trials, "trial count")
     if trials < 1:
         raise ValueError("need at least one trial")
+    if math.isnan(tol):  # every gap > nan comparison is false: nothing could fail
+        raise ValueError("tolerance nan is not a number")
     seed = _seed(seed)
     if game is not None:
         n, k = game.n, game.k
@@ -173,50 +188,57 @@ def _check_linearity(report, rng, ts, v, tol, bits):
     w = random_game(int(rng.integers(0, 2**31)), v.n, v.k, "general", bits)
     alpha = float(rng.uniform(-2.0, 2.0))
     combo = add_games(v, w, alpha)
+    iv, iw, icombo = _indices(v, bits), _indices(w, bits), _indices(combo, bits)
     for T in _coalitions_upto(v.n, MAX_ORDER):
-        lhs = interaction(combo, T, bits)
-        rhs = interaction(v, T, bits) + alpha * interaction(w, T, bits)
-        report.record(tol, ts, T, lhs, rhs)
+        m = _mask(T)
+        report.record(tol, ts, T, icombo[m], iv[m] + alpha * iw[m])
 
 
 def _check_null(report, rng, ts, v, tol, bits):
     position = int(rng.integers(1, v.n + 2))
     ext = make_null_extension(v, position, bits)
+    iext = _indices(ext, bits)
     for T in _coalitions_upto(ext.n, MAX_ORDER, containing=position):
-        report.record(tol, ts, T, interaction(ext, T, bits), 0.0)
+        report.record(tol, ts, T, iext[_mask(T)], 0.0)
 
 
 def _check_invariance(report, rng, ts, v, tol, bits):
     i = int(rng.integers(1, v.n + 1))
     w = make_invariance_partner(v, i)
+    iv, iw = _indices(v, bits), _indices(w, bits)
     for T in _coalitions_upto(v.n, MAX_ORDER, containing=i):
-        report.record(tol, ts, T, interaction(v, T, bits), interaction(w, T, bits))
+        report.record(tol, ts, T, iv[_mask(T)], iw[_mask(T)])
 
 
 def _check_symmetry(report, rng, ts, v, tol, bits):
     sigma = tuple(int(s) + 1 for s in rng.permutation(v.n))
     relabeled = permute_attributes(v, sigma)
+    iv, irelabeled = _indices(v, bits), _indices(relabeled, bits)
     for T in _coalitions_upto(v.n, MAX_ORDER):
-        sigma_T = members_tuple((sigma[i - 1] for i in T), v.n)
-        report.record(tol, ts, T, interaction(relabeled, sigma_T, bits), interaction(v, T, bits))
+        sigma_T = (sigma[i - 1] for i in T)
+        report.record(tol, ts, T, irelabeled[_mask(sigma_T)], iv[_mask(T)])
 
 
 def _check_efficiency(report, rng, ts, v, tol, bits):
-    lhs = math.fsum(importance(v, i, bits) for i in range(1, v.n + 1))
+    iv = _indices(v, bits)
+    lhs = math.fsum(iv[_mask((i,))] for i in range(1, v.n + 1))
     report.record(tol, ts, ("total",), lhs, efficiency_rhs(v))
 
 
 def _check_recursion(report, rng, ts, v, tol, bits):
-    parts = {i: (restrict_present_top(v, i), restrict_absent(v, (i,))) for i in range(1, v.n + 1)}
+    iv = _indices(v, bits)
+    parts = {
+        i: (_indices(restrict_present_top(v, i), bits), _indices(restrict_absent(v, (i,)), bits))
+        for i in range(1, v.n + 1)
+    }
     for T in _coalitions_upto(v.n, MAX_ORDER):
         if len(T) < 2:
             continue
-        lhs = interaction(v, T, bits)
+        lhs = iv[_mask(T)]
         for i in T:
-            rest = _drop_and_renumber(T, i)
+            rest = _mask(_drop_and_renumber(T, i))
             top, absent = parts[i]
-            rhs = interaction(top, rest, bits) - interaction(absent, rest, bits)
-            report.record(tol, ts, T + ("drop", i), lhs, rhs)
+            report.record(tol, ts, T + ("drop", i), lhs, top[rest] - absent[rest])
 
 
 _CHECKERS = {

@@ -178,6 +178,10 @@ class TestVerify:
         # the trial game's 4**4-entry table is refused, before any partner
         assert code == 1 and out == "" and "256 entries, beyond the 4-bit limit" in err
 
+    def test_nan_tolerance_is_refused(self, capsys):
+        code, out, err = run(capsys, "verify", "--axioms", "E", "--trials", "1", "--tol", "nan")
+        assert code == 1 and out == "" and "tolerance nan" in err
+
     def test_unknown_axiom(self, capsys):
         code, _, err = run(capsys, "verify", "--axioms", "Q")
         assert code == 2 and "unknown axiom" in err

@@ -16,6 +16,7 @@ from karycap import (
 from karycap.game import (
     GAME_KINDS,
     add_games,
+    check_query_size,
     check_table_size,
     discrete_derivative,
     permute_attributes,
@@ -26,6 +27,7 @@ from karycap.game import (
     support,
 )
 from karycap.choquet import integral_check
+from karycap.indices import interaction
 from karycap.verify import make_invariance_partner, make_null_extension, verify_axiom
 from conftest import delta_recursive
 
@@ -213,6 +215,18 @@ class TestIntegerArguments:
         # n = True would otherwise run as n = 1, and 1.7 level counts as 1
         with pytest.raises(ValueError, match="not an integer"):
             build(*args)
+
+    @pytest.mark.parametrize("bits", [3.5, True], ids=["float", "bool"])
+    def test_rejects_non_integer_limit(self, m2, bits):
+        # 3.5 would otherwise run as a fractional budget and True as a 1-bit one
+        for call in (
+            lambda: check_table_size(2, 2, bits),
+            lambda: check_query_size(4, bits),
+            lambda: random_game(1, 2, 2, limit_bits=bits),
+            lambda: interaction(m2, (1,), limit_bits=bits),
+        ):
+            with pytest.raises(ValueError, match="^bit limit .* is not an integer$"):
+                call()
 
     def test_numpy_integer_sizes_become_python_ints(self):
         v = MultichoiceGame(np.int64(2), np.int32(1), [0.0, 1.0, 2.0, 3.0])

@@ -23,7 +23,13 @@ from karycap import (
     random_game,
 )
 from karycap.game import add_games
-from karycap.indices import METHODS, interaction_by_method, shapley_coefficient
+from karycap.indices import (
+    METHODS,
+    _index_array,
+    _nodes,
+    interaction_by_method,
+    shapley_coefficient,
+)
 from karycap.verify import make_null_extension
 from conftest import (
     assert_close,
@@ -310,25 +316,29 @@ class TestLatticePointInteraction:
             lattice_point_interaction(m2, x)
 
 
+def fuzz_game(n, k, kind, scale, seed, data):
+    if kind == "heterogeneous":
+        k_list = data.draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
+        size = math.prod(ki + 1 for ki in k_list)
+        raw = np.random.default_rng(seed).uniform(-1.0, 1.0, size)
+        raw[0] = 0.0
+        return extend_heterogeneous(raw * scale, k_list, k)
+    return MultichoiceGame(n, k, random_game(seed, n, k, kind).values * scale)
+
+
+GAME_SPACE = (
+    st.sampled_from(["general", "monotone", "additive", "heterogeneous"]),
+    st.sampled_from([1e-6, 1.0, 1e6]),
+    st.integers(0, 2**31),
+    st.data(),
+)
+
+
 class TestRoutesAgree:
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(1, 4),
-        st.integers(1, 3),
-        st.sampled_from(["general", "monotone", "additive", "heterogeneous"]),
-        st.sampled_from([1e-6, 1.0, 1e6]),
-        st.integers(0, 2**31),
-        st.data(),
-    )
+    @given(st.integers(1, 4), st.integers(1, 3), *GAME_SPACE)
     def test_every_route_matches_the_closed_form(self, n, k, kind, scale, seed, data):
-        if kind == "heterogeneous":
-            k_list = data.draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
-            size = math.prod(ki + 1 for ki in k_list)
-            raw = np.random.default_rng(seed).uniform(-1.0, 1.0, size)
-            raw[0] = 0.0
-            v = extend_heterogeneous(raw * scale, k_list, k)
-        else:
-            v = MultichoiceGame(n, k, random_game(seed, n, k, kind).values * scale)
+        v = fuzz_game(n, k, kind, scale, seed, data)
         bound = 1e-9 * max(1.0, float(np.abs(v.values).max()))
         for t in range(1, n + 1):
             for T in combinations(range(1, n + 1), t):
@@ -339,6 +349,33 @@ class TestRoutesAgree:
         # with T = N nothing is sampled, so the integral route is exact
         N = tuple(range(1, n + 1))
         assert_close(integral_check(v, N, 1, seed).estimate, interaction(v, N), bound)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 3), *GAME_SPACE)
+    def test_index_array_matches_the_closed_form(self, n, k, kind, scale, seed, data):
+        v = fuzz_game(n, k, kind, scale, seed, data)
+        bound = 1e-9 * max(1.0, float(np.abs(v.values).max()))
+        every = _index_array(v)
+        assert every.shape == (2,) * n
+        for bits in product((0, 1), repeat=n):
+            T = tuple(i for i, b in enumerate(bits, 1) if b)
+            if T:
+                assert_close(float(every[bits]), interaction(v, T), bound)
+
+
+class TestIndexArray:
+    def test_nodes_integrate_the_top_degree_exactly(self):
+        for n in range(1, 12):
+            x, w = _nodes(n)
+            assert len(x) == (n + 1) // 2
+            for degree in range(n):
+                assert_close(float(w @ x**degree), 1.0 / (degree + 1), 1e-15)
+
+    def test_guard_counts_the_whole_table(self):
+        v = random_game(5, 4, 3, "general")  # 4**4 = 2**8 entries
+        with pytest.raises(SizeLimitError, match="256 table lookups.*beyond the 7-bit limit"):
+            _index_array(v, 7)
+        assert _index_array(v, 8).shape == (2,) * 4
 
 
 class TestLinearity:
@@ -404,6 +441,12 @@ class TestReport:
         v = random_game(5, 4, 3, "general")
         with pytest.raises(SizeLimitError):
             interaction_by_method(v, (1, 2), method, 4)
+
+    def test_cellsum_report_matches_single_queries_bitwise(self):
+        for seed, (n, k) in enumerate([(1, 2), (2, 1), (3, 2), (4, 3)]):
+            v = random_game(seed + 73, n, k, "general")
+            report = interaction_all_upto(v, n, "cellsum")
+            assert report == {T: interaction_cellsum(v, T) for T in report}
 
     def test_bad_arguments(self, m2):
         with pytest.raises(ValueError):

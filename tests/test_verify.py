@@ -1,6 +1,7 @@
 import math
 from itertools import product
 
+import numpy as np
 import pytest
 
 from karycap import (
@@ -14,6 +15,8 @@ from karycap import (
     random_game,
     verify_axiom,
 )
+import karycap.verify as verify_module
+from karycap.indices import _index_array
 from karycap.verify import efficiency_rhs, make_invariance_partner, make_null_extension
 from conftest import assert_close
 
@@ -187,6 +190,46 @@ class TestVerifyAxiom:
         rec = report.failures[0]
         assert rec.gap >= 0.0 and rec.subject == ("total",)
         assert report.max_gap == max(f.gap for f in report.failures)
+
+    def test_nan_tolerance_rejected(self):
+        # no gap exceeds nan, so a nan tolerance would pass every check
+        with pytest.raises(ValueError, match="tolerance nan"):
+            verify_axiom("E", 2, 11, 3, 2, tol=math.nan)
+
+    @pytest.mark.parametrize(
+        "axiom, games",
+        [("L", lambda n: 3), ("N", lambda n: 1), ("I", lambda n: 2),
+         ("S", lambda n: 2), ("E", lambda n: 1), ("R", lambda n: 1 + 2 * n)],
+    )
+    def test_one_index_array_per_game(self, monkeypatch, axiom, games):
+        # every game a check builds is indexed once, and through the guard
+        calls = []
+
+        def counted(v, limit_bits=None):
+            calls.append(limit_bits)
+            return _index_array(v, limit_bits)
+
+        monkeypatch.setattr(verify_module, "_index_array", counted)
+        for n in (2, 4):
+            calls.clear()
+            verify_axiom(axiom, 3, 5, n, 3, limit_bits=20)
+            assert calls == [20] * (3 * games(n))
+
+    @pytest.mark.parametrize(
+        "axiom, builder",
+        [("L", "add_games"), ("N", "make_null_extension"), ("I", "make_invariance_partner"),
+         ("S", "permute_attributes"), ("R", "restrict_absent")],
+    )
+    def test_a_skewed_partner_fails_the_check(self, monkeypatch, axiom, builder):
+        # each check compares its partner's indices, not the base game's twice
+        build = getattr(verify_module, builder)
+
+        def skewed(*args, **kwargs):
+            g = build(*args, **kwargs)
+            return MultichoiceGame(g.n, g.k, g.values + 1e-3 * np.arange(g.values.size) ** 2)
+
+        monkeypatch.setattr(verify_module, builder, skewed)
+        assert not verify_axiom(axiom, 2, 3, 3, 2).passed
 
     def test_unknown_axiom_rejected(self):
         with pytest.raises(ValueError):
