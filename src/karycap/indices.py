@@ -88,9 +88,17 @@ def _classes(shape: tuple[int, ...], n: int, k: int) -> np.ndarray:
     An entry's index along each axis is a level; support size s counts the
     levels above 0 and kernel size kap those at k, and the class id is
     s * (n + 1) + kap.  Axes of length 1 (those of T) add nothing and leave
-    the F-order ravel alone, so they are dropped from the cache key.
+    the F-order ravel alone, so they are dropped from the cache key.  Only
+    shapes of at most ``_CACHED_CLASS_IDS`` entries are cached.
     """
-    return _class_ids(tuple(d for d in shape if d > 1), n, k)
+    shape = tuple(d for d in shape if d > 1)
+    if math.prod(shape) > _CACHED_CLASS_IDS:
+        return _class_ids.__wrapped__(shape, n, k)
+    return _class_ids(shape, n, k)
+
+
+# 128 KiB of int64 ids per cached shape, so the 32 cached shapes stay under 4 MiB
+_CACHED_CLASS_IDS = 2**14
 
 
 @functools.lru_cache(maxsize=32)

@@ -6,9 +6,12 @@ seeded randomized check: draw games, build the transformed partner the
 axiom talks about, and compare both sides of its equation numerically.
 Each game a check builds is indexed once, by one all-coalition pass of
 :mod:`karycap.indices` (one index array per game), and the coalitions of
-the equation are read out of those arrays.  Reports collect every
-violation above tolerance, so a passing report means the whole trial
-batch stayed within bounds.
+the equation are read out of those arrays.  Each trial also re-checks one
+of those arrays against the per-coalition closed form that
+:func:`~karycap.indices.importance` and :func:`~karycap.indices.interaction`
+serve, at one drawn attribute and one drawn coalition.  Reports collect
+every violation above tolerance, so a passing report means the whole
+trial batch stayed within bounds.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .game import (
     restrict_absent,
     restrict_present_top,
 )
-from .indices import _index_array
+from .indices import _index_array, importance, interaction
 
 AXIOMS = ("L", "N", "I", "S", "E", "R")
 
@@ -54,6 +57,7 @@ class VerificationReport:
     axiom: str
     trials: int
     max_gap: float = 0.0
+    closed_form_gap: float = 0.0
     passed: bool = True
     note: str = ""
     failures: list[Failure] = field(default_factory=list)
@@ -150,10 +154,12 @@ def verify_axiom(
     Draws fresh games per trial (or reuses ``game`` as the base subject
     while still drawing random partners, permutations and positions) and
     records every equation violation above ``tol * max(1, max|v|)``, v the
-    trial's base game; a NaN ``tol`` is rejected.  ``limit_bits``
-    overrides the size guards of every game built and of the index array
-    computed for each.  Deterministic for a given (axiom, trials, seed,
-    n, k, game).
+    trial's base game; a NaN ``tol`` is rejected.  The largest gap between
+    an index array and the closed form at the re-checked coalitions is
+    ``closed_form_gap``; above the same tolerance it fails the report.
+    ``limit_bits`` overrides the size guards of every game built, of the
+    index array computed for each and of the closed-form queries.
+    Deterministic for a given (axiom, trials, seed, n, k, game).
     """
     if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r}, expected one of {AXIOMS}")
@@ -180,8 +186,22 @@ def verify_axiom(
         v = game if game is not None else random_game(
             int(rng.integers(0, 2**31)), n, k, "general", limit_bits
         )
-        checker(report, rng, ts, v, tol * max(1.0, float(np.abs(v.values).max())), limit_bits)
+        scaled_tol = tol * max(1.0, float(np.abs(v.values).max()))
+        indexed, indices = checker(report, rng, ts, v, scaled_tol, limit_bits)
+        _check_closed_form(report, rng, indexed, indices, scaled_tol, limit_bits)
     return report
+
+
+def _check_closed_form(report, rng, v, iv, tol, bits):
+    # the array against the served per-coalition closed form, at one drawn
+    # attribute and one drawn coalition of the largest order checked
+    i = int(rng.integers(1, v.n + 1))
+    T = tuple(sorted(int(j) + 1 for j in rng.choice(v.n, min(v.n, MAX_ORDER), replace=False)))
+    gap = max(abs(importance(v, i, bits) - iv[_mask((i,))]),
+              abs(interaction(v, T, bits) - iv[_mask(T)]))
+    report.closed_form_gap = max(report.closed_form_gap, gap)
+    if gap > tol:
+        report.passed = False
 
 
 def _check_linearity(report, rng, ts, v, tol, bits):
@@ -192,6 +212,7 @@ def _check_linearity(report, rng, ts, v, tol, bits):
     for T in _coalitions_upto(v.n, MAX_ORDER):
         m = _mask(T)
         report.record(tol, ts, T, icombo[m], iv[m] + alpha * iw[m])
+    return v, iv
 
 
 def _check_null(report, rng, ts, v, tol, bits):
@@ -200,6 +221,7 @@ def _check_null(report, rng, ts, v, tol, bits):
     iext = _indices(ext, bits)
     for T in _coalitions_upto(ext.n, MAX_ORDER, containing=position):
         report.record(tol, ts, T, iext[_mask(T)], 0.0)
+    return ext, iext
 
 
 def _check_invariance(report, rng, ts, v, tol, bits):
@@ -208,6 +230,7 @@ def _check_invariance(report, rng, ts, v, tol, bits):
     iv, iw = _indices(v, bits), _indices(w, bits)
     for T in _coalitions_upto(v.n, MAX_ORDER, containing=i):
         report.record(tol, ts, T, iv[_mask(T)], iw[_mask(T)])
+    return v, iv
 
 
 def _check_symmetry(report, rng, ts, v, tol, bits):
@@ -217,12 +240,14 @@ def _check_symmetry(report, rng, ts, v, tol, bits):
     for T in _coalitions_upto(v.n, MAX_ORDER):
         sigma_T = (sigma[i - 1] for i in T)
         report.record(tol, ts, T, irelabeled[_mask(sigma_T)], iv[_mask(T)])
+    return v, iv
 
 
 def _check_efficiency(report, rng, ts, v, tol, bits):
     iv = _indices(v, bits)
     lhs = math.fsum(iv[_mask((i,))] for i in range(1, v.n + 1))
     report.record(tol, ts, ("total",), lhs, efficiency_rhs(v))
+    return v, iv
 
 
 def _check_recursion(report, rng, ts, v, tol, bits):
@@ -239,6 +264,7 @@ def _check_recursion(report, rng, ts, v, tol, bits):
             rest = _mask(_drop_and_renumber(T, i))
             top, absent = parts[i]
             report.record(tol, ts, T + ("drop", i), lhs, top[rest] - absent[rest])
+    return v, iv
 
 
 _CHECKERS = {

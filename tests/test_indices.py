@@ -25,6 +25,8 @@ from karycap import (
 from karycap.game import add_games
 from karycap.indices import (
     METHODS,
+    _class_ids,
+    _classes,
     _index_array,
     _nodes,
     interaction_by_method,
@@ -376,6 +378,20 @@ class TestIndexArray:
         with pytest.raises(SizeLimitError, match="256 table lookups.*beyond the 7-bit limit"):
             _index_array(v, 7)
         assert _index_array(v, 8).shape == (2,) * 4
+
+
+class TestClassIds:
+    def test_only_small_shapes_are_cached(self):
+        _class_ids.cache_clear()
+        small = _classes((4, 1, 4), 3, 3)
+        assert _class_ids.cache_info().currsize == 1
+        assert _classes((4, 4), 3, 3) is small  # length-1 axes leave the key alone
+        big = _classes((4,) * 8, 8, 3)  # 2**16 ids: built for the caller only
+        assert _class_ids.cache_info().currsize == 1
+        assert not small.flags.writeable and not big.flags.writeable
+        levels = np.indices((4,) * 8).reshape(8, -1, order="F")
+        want = (levels > 0).sum(axis=0) * 9 + (levels == 3).sum(axis=0)
+        assert np.array_equal(big, want)
 
 
 class TestLinearity:

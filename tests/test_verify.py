@@ -215,6 +215,27 @@ class TestVerifyAxiom:
             verify_axiom(axiom, 3, 5, n, 3, limit_bits=20)
             assert calls == [20] * (3 * games(n))
 
+    @pytest.mark.parametrize("axiom", AXIOMS)
+    def test_two_closed_form_queries_per_trial(self, monkeypatch, axiom):
+        queries = []
+        for name in ("importance", "interaction"):
+            served = getattr(verify_module, name)
+            monkeypatch.setattr(verify_module, name,
+                                lambda v, T, bits=None, f=served: queries.append(T) or f(v, T, bits))
+        report = verify_axiom(axiom, 3, 6, 4, 3)
+        assert report.passed and 0.0 <= report.closed_form_gap <= 1e-9
+        assert len(queries) == 6
+
+    @pytest.mark.parametrize("name", ["importance", "interaction"])
+    def test_a_skewed_closed_form_fails_the_report(self, monkeypatch, name):
+        # the index arrays still satisfy every axiom; only the re-check sees it
+        served = getattr(verify_module, name)
+        monkeypatch.setattr(verify_module, name, lambda v, T, bits=None: served(v, T, bits) + 1e-3)
+        report = verify_axiom("S", 2, 3, 3, 2)
+        assert not report.passed and report.failures == []
+        assert_close(report.closed_form_gap, 1e-3, 1e-12)
+        assert report.max_gap <= 1e-9
+
     @pytest.mark.parametrize(
         "axiom, builder",
         [("L", "add_games"), ("N", "make_null_extension"), ("I", "make_invariance_partner"),
