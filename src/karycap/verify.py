@@ -4,9 +4,11 @@ Each axiom of the interaction index (linearity, null attribute,
 increment invariance, symmetry, efficiency, recursion) is turned into a
 seeded randomized check: draw games, build the transformed partner the
 axiom talks about, and compare both sides of its equation numerically.
-Each game a check builds is indexed once, by one all-coalition pass of
-:mod:`karycap.indices` (one index array per game), and the coalitions of
-the equation are read out of those arrays.  Each trial also re-checks one
+Each game a check builds is indexed once, by the all-coalition pass of
+:mod:`karycap.indices` that also serves ``interaction_all_upto`` and the
+CLI's importance and interaction verbs (one index array per game), and
+the coalitions of the equation are read out of those arrays at their
+masks.  Each trial also re-checks one
 of those arrays against the per-coalition closed form that
 :func:`~karycap.indices.importance` and :func:`~karycap.indices.interaction`
 serve, at one drawn attribute and one drawn coalition.  Reports collect
@@ -35,7 +37,7 @@ from .game import (
     restrict_absent,
     restrict_present_top,
 )
-from .indices import _index_array, importance, interaction
+from .indices import _index_array, _mask, importance, interaction
 
 AXIOMS = ("L", "N", "I", "S", "E", "R")
 
@@ -63,6 +65,7 @@ class VerificationReport:
     failures: list[Failure] = field(default_factory=list)
 
     def record(self, tol: float, seed: int, subject: tuple, lhs: float, rhs: float) -> None:
+        lhs, rhs = float(lhs), float(rhs)  # index-array entries are numpy scalars
         gap = abs(lhs - rhs)
         self.max_gap = max(self.max_gap, gap)
         if gap > tol:
@@ -123,15 +126,6 @@ def _coalitions_upto(n: int, max_order: int, containing: int | None = None):
         for T in combinations(range(1, n + 1), size):
             if containing is None or containing in T:
                 yield T
-
-
-def _mask(T) -> int:
-    return sum(1 << (i - 1) for i in T)
-
-
-def _indices(v: MultichoiceGame, bits: int | None) -> list[float]:
-    # the index of every coalition of v, at the coalition's mask (bit i-1 for i)
-    return _index_array(v, bits).ravel(order="F").tolist()
 
 
 def _drop_and_renumber(T: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -197,8 +191,8 @@ def _check_closed_form(report, rng, v, iv, tol, bits):
     # attribute and one drawn coalition of the largest order checked
     i = int(rng.integers(1, v.n + 1))
     T = tuple(sorted(int(j) + 1 for j in rng.choice(v.n, min(v.n, MAX_ORDER), replace=False)))
-    gap = max(abs(importance(v, i, bits) - iv[_mask((i,))]),
-              abs(interaction(v, T, bits) - iv[_mask(T)]))
+    gap = max(abs(importance(v, i, bits) - float(iv[_mask((i,))])),
+              abs(interaction(v, T, bits) - float(iv[_mask(T)])))
     report.closed_form_gap = max(report.closed_form_gap, gap)
     if gap > tol:
         report.passed = False
@@ -208,7 +202,7 @@ def _check_linearity(report, rng, ts, v, tol, bits):
     w = random_game(int(rng.integers(0, 2**31)), v.n, v.k, "general", bits)
     alpha = float(rng.uniform(-2.0, 2.0))
     combo = add_games(v, w, alpha)
-    iv, iw, icombo = _indices(v, bits), _indices(w, bits), _indices(combo, bits)
+    iv, iw, icombo = _index_array(v, bits), _index_array(w, bits), _index_array(combo, bits)
     for T in _coalitions_upto(v.n, MAX_ORDER):
         m = _mask(T)
         report.record(tol, ts, T, icombo[m], iv[m] + alpha * iw[m])
@@ -218,7 +212,7 @@ def _check_linearity(report, rng, ts, v, tol, bits):
 def _check_null(report, rng, ts, v, tol, bits):
     position = int(rng.integers(1, v.n + 2))
     ext = make_null_extension(v, position, bits)
-    iext = _indices(ext, bits)
+    iext = _index_array(ext, bits)
     for T in _coalitions_upto(ext.n, MAX_ORDER, containing=position):
         report.record(tol, ts, T, iext[_mask(T)], 0.0)
     return ext, iext
@@ -227,7 +221,7 @@ def _check_null(report, rng, ts, v, tol, bits):
 def _check_invariance(report, rng, ts, v, tol, bits):
     i = int(rng.integers(1, v.n + 1))
     w = make_invariance_partner(v, i)
-    iv, iw = _indices(v, bits), _indices(w, bits)
+    iv, iw = _index_array(v, bits), _index_array(w, bits)
     for T in _coalitions_upto(v.n, MAX_ORDER, containing=i):
         report.record(tol, ts, T, iv[_mask(T)], iw[_mask(T)])
     return v, iv
@@ -236,7 +230,7 @@ def _check_invariance(report, rng, ts, v, tol, bits):
 def _check_symmetry(report, rng, ts, v, tol, bits):
     sigma = tuple(int(s) + 1 for s in rng.permutation(v.n))
     relabeled = permute_attributes(v, sigma)
-    iv, irelabeled = _indices(v, bits), _indices(relabeled, bits)
+    iv, irelabeled = _index_array(v, bits), _index_array(relabeled, bits)
     for T in _coalitions_upto(v.n, MAX_ORDER):
         sigma_T = (sigma[i - 1] for i in T)
         report.record(tol, ts, T, irelabeled[_mask(sigma_T)], iv[_mask(T)])
@@ -244,16 +238,19 @@ def _check_symmetry(report, rng, ts, v, tol, bits):
 
 
 def _check_efficiency(report, rng, ts, v, tol, bits):
-    iv = _indices(v, bits)
+    iv = _index_array(v, bits)
     lhs = math.fsum(iv[_mask((i,))] for i in range(1, v.n + 1))
     report.record(tol, ts, ("total",), lhs, efficiency_rhs(v))
     return v, iv
 
 
 def _check_recursion(report, rng, ts, v, tol, bits):
-    iv = _indices(v, bits)
+    iv = _index_array(v, bits)
     parts = {
-        i: (_indices(restrict_present_top(v, i), bits), _indices(restrict_absent(v, (i,)), bits))
+        i: (
+            _index_array(restrict_present_top(v, i), bits),
+            _index_array(restrict_absent(v, (i,)), bits),
+        )
         for i in range(1, v.n + 1)
     }
     for T in _coalitions_upto(v.n, MAX_ORDER):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from karycap import random_game, save_game
+from karycap import indices, random_game, save_game
 from karycap.cli import main
 
 
@@ -110,6 +110,27 @@ class TestInteraction:
         assert code == 0
         assert abs(doc["interactions"]["1+2"]) <= 1e-9
 
+    def test_order_one_rows_are_the_importance_rows(self, capsys, tmp_path, monkeypatch):
+        # each verb indexes the game by one all-coalition pass, not per coalition
+        path = str(tmp_path / "g.json")
+        save_game(random_game(17, 4, 3, "general"), path)
+        calls = []
+        for name in ("_index_array", "_closed_form"):
+            served = getattr(indices, name)
+            monkeypatch.setattr(indices, name,
+                                lambda *a, f=served, name=name: calls.append(name) or f(*a))
+        rows = []
+        for argv in (["importance", path], ["interaction", path, "--order", "1"]):
+            calls.clear()
+            code, out, _ = run(capsys, *argv, "--format", "csv")
+            assert code == 0 and calls == ["_index_array"]
+            rows.append(out.splitlines()[1:5])
+        assert rows[0] == rows[1]
+
+    def test_order_out_of_range_exits_1(self, capsys, min2_path):
+        code, out, err = run(capsys, "interaction", min2_path, "--order", "3")
+        assert code == 1 and out == "" and "max order 3 outside 1..2" in err
+
     def test_singleton_matches_importance(self, capsys, min2_path):
         code, out, _ = run(capsys, "interaction", min2_path, "--set", "1")
         assert code == 0 and json.loads(out)["interactions"]["1"] == 2.0
@@ -178,9 +199,20 @@ class TestVerify:
         # the trial game's 4**4-entry table is refused, before any partner
         assert code == 1 and out == "" and "256 entries, beyond the 4-bit limit" in err
 
-    def test_nan_tolerance_is_refused(self, capsys):
-        code, out, err = run(capsys, "verify", "--axioms", "E", "--trials", "1", "--tol", "nan")
-        assert code == 1 and out == "" and "tolerance nan" in err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["info", "GAME"],
+            ["verify", "--axioms", "E", "--trials", "1"],
+            ["integral-check", "GAME", "--set", "1,2", "--samples", "100"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_nan_tolerance_is_refused(self, capsys, min2_path, argv):
+        # every comparison with nan is false, so no verb that reads --tol takes it
+        argv = [min2_path if a == "GAME" else a for a in argv]
+        code, out, err = run(capsys, *argv, "--tol", "nan")
+        assert code == 1 and out == "" and "tolerance nan is not a number" in err
 
     def test_unknown_axiom(self, capsys):
         code, _, err = run(capsys, "verify", "--axioms", "Q")
@@ -191,7 +223,8 @@ class TestVerify:
             capsys, "verify", "--axioms", "E", "--trials", "2", "--seed", "3",
             "--format", "csv",
         )
-        assert code == 0 and out.splitlines()[0] == "axiom,trials,max_gap,passed,failures"
+        header = out.splitlines()[0]
+        assert code == 0 and header == "axiom,trials,max_gap,closed_form_gap,passed,failures"
 
 
 class TestIntegralCheck:

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 from itertools import combinations, product
@@ -20,15 +21,18 @@ from karycap import (
     interaction_recursive,
     interaction_via_derivatives,
     lattice_point_interaction,
+    min_game,
     random_game,
+    save_game,
 )
+from karycap.cli import main
 from karycap.game import add_games
 from karycap.indices import (
     METHODS,
     _class_ids,
     _classes,
     _index_array,
-    _nodes,
+    _mask,
     interaction_by_method,
     shapley_coefficient,
 )
@@ -358,26 +362,32 @@ class TestRoutesAgree:
         v = fuzz_game(n, k, kind, scale, seed, data)
         bound = 1e-9 * max(1.0, float(np.abs(v.values).max()))
         every = _index_array(v)
-        assert every.shape == (2,) * n
-        for bits in product((0, 1), repeat=n):
-            T = tuple(i for i, b in enumerate(bits, 1) if b)
-            if T:
-                assert_close(float(every[bits]), interaction(v, T), bound)
+        assert every.shape == (2**n,)
+        for t in range(1, n + 1):
+            for T in combinations(range(1, n + 1), t):
+                assert_close(float(every[_mask(T)]), interaction(v, T), bound)
 
 
 class TestIndexArray:
-    def test_nodes_integrate_the_top_degree_exactly(self):
-        for n in range(1, 12):
-            x, w = _nodes(n)
-            assert len(x) == (n + 1) // 2
-            for degree in range(n):
-                assert_close(float(w @ x**degree), 1.0 / (degree + 1), 1e-15)
+    def test_min_games_match_the_closed_form_bitwise(self):
+        for n in range(1, 6):
+            for k in range(1, 4):
+                v = min_game(n, k)
+                every = _index_array(v)
+                for t in range(1, n + 1):
+                    for T in combinations(range(1, n + 1), t):
+                        assert float(every[_mask(T)]) == interaction(v, T), (n, k, T)
 
     def test_guard_counts_the_whole_table(self):
         v = random_game(5, 4, 3, "general")  # 4**4 = 2**8 entries
         with pytest.raises(SizeLimitError, match="256 table lookups.*beyond the 7-bit limit"):
             _index_array(v, 7)
-        assert _index_array(v, 8).shape == (2,) * 4
+        assert _index_array(v, 8).shape == (2**4,)
+        # at k = 1 the n degree rows of 2**n outweigh the table: 5 * 2**5 = 160
+        v = random_game(5, 5, 1, "general")
+        with pytest.raises(SizeLimitError, match="160 table lookups.*beyond the 7-bit limit"):
+            _index_array(v, 7)
+        assert _index_array(v, 8).shape == (2**5,)
 
 
 class TestClassIds:
@@ -417,11 +427,18 @@ class TestReport:
         assert_close(report[(2,)], 2.0, 1e-12)
         assert_close(report[(1, 2)], 2.0, 1e-12)
 
-    def test_singletons_populate_importance(self):
+    def test_singletons_populate_importance(self, tmp_path, capsys):
+        # the importance verb prints these rows; importance() agrees to rounding
         v = random_game(61, 3, 2, "general")
+        path = str(tmp_path / "v.json")
+        save_game(v, path)
+        assert main(["importance", path]) == 0
+        row = json.loads(capsys.readouterr().out)["importance"]
         report = interaction_all_upto(v, 3)
+        bound = 1e-12 * max(1.0, float(np.abs(v.values).max()))
         for i in (1, 2, 3):
-            assert report[(i,)] == importance(v, i)
+            assert report[(i,)] == row[i - 1]
+            assert_close(report[(i,)], importance(v, i), bound)
 
     def test_methods_agree(self):
         v = random_game(71, 3, 2, "general")
