@@ -61,7 +61,7 @@ def section_capacity(v: MultichoiceGame, q: Sequence[int]) -> MultichoiceGame:
     return MultichoiceGame(v.n, 1, _section(v, _profile(q, v.n, v.k - 1))[1])
 
 
-def _choquet_batch(mu: np.ndarray, W: np.ndarray, n: int) -> np.ndarray:
+def _choquet_batch(mu: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Classical Choquet integral of each row of W (values in [0, 1]).
 
     Rows are sorted ascending with ties broken by attribute index; the
@@ -73,7 +73,7 @@ def _choquet_batch(mu: np.ndarray, W: np.ndarray, n: int) -> np.ndarray:
     diffs = ranked - prev
     out = np.zeros(W.shape[0])
     mask = np.zeros(W.shape[0], dtype=np.int64)
-    for col in range(n - 1, -1, -1):
+    for col in range(W.shape[1] - 1, -1, -1):
         mask = mask | (np.int64(1) << order[:, col])
         out += diffs[:, col] * mu[mask]
     return out
@@ -90,7 +90,7 @@ def _eval_in_cell(v: MultichoiceGame, q: Sequence[int], z: np.ndarray) -> float:
     """Extension value at z computed through the cell based at q."""
     vq, mu = _section(v, q)
     offs = z - np.asarray(q, dtype=np.float64)
-    return float(vq + _choquet_batch(mu, offs[None, :], v.n)[0])
+    return float(vq + _choquet_batch(mu, offs[None, :])[0])
 
 
 def choquet_kary(v: MultichoiceGame, z: Sequence[float]) -> float:
@@ -219,7 +219,7 @@ def integral_check(
         # by complement mask, behind the zeros of the coalitions without T
         cap = np.concatenate([np.zeros(2**m), d.ravel(order="F")])
         U = np.random.default_rng((seed, ci)).random((samples if m else 1, m))
-        g = _choquet_batch(cap, np.hstack([U, np.ones((len(U), 1))]), m + 1)
+        g = _choquet_batch(cap, np.hstack([U, np.ones((len(U), 1))]))
         means.append(float(g.mean()))
         variances.append(float(g.var(ddof=1)) if m else 0.0)
     estimate = math.fsum(means)

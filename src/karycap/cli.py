@@ -239,11 +239,7 @@ def cmd_integral_check(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    game = _load(args)
-    if args.out:
-        save_game(game, args.out)
-    else:
-        save_game(game, sys.stdout)
+    save_game(_load(args), args.out or sys.stdout)
     return 0
 
 

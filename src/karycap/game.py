@@ -6,13 +6,18 @@ are stored densely in little-endian mixed-radix order: attribute 1 is the
 least significant digit.  :class:`MultichoiceGame` alone knows this
 layout.  ``v.grid()`` views the table as an n-dimensional array whose
 axis i-1 carries the level of attribute i, and it is the only address of
-the table: a validated profile indexes it directly, the game transforms
-below are slices, stacks and axis moves of it, and the indices are
-slices of it followed by differences along axes;
-``MultichoiceGame.from_grid`` builds a game from such an array.  A
-classical capacity is the game with k = 1.  :func:`profiles` is the one
-enumerator of lattice profiles: it lists {0..k}^n in table order, for
-tabulating a function and for walking the unit cells of {0..k-1}^n.
+the table: a validated profile indexes it directly, and each game
+transform reads it in one expression.  The restrictions are slices,
+:func:`permute_attributes` is an axis move, :func:`extend_heterogeneous`
+gathers clamped levels, and :func:`reduce_group` is a gather on moved
+axes (T's axes in front, one level array on the axes of A); the axiom
+partners of :mod:`karycap.verify` broadcast a new axis or concatenate
+along an axis moved to the front.  The indices are slices of it followed
+by differences along axes; ``MultichoiceGame.from_grid`` builds a game
+from such an array.  A classical capacity is the game with k = 1.
+:func:`profiles` is the one enumerator of lattice profiles: it lists
+{0..k}^n in table order, for tabulating a function and for walking the
+unit cells of {0..k-1}^n.
 
 Games are immutable once built; every operation here is a pure function,
 so games can be shared freely across threads.
@@ -294,17 +299,14 @@ def reduce_group(
     a_members = nonempty_members(A, v.n)
     if not set(a_members) <= set(t_members):
         raise ValueError(f"A={a_members} is not contained in T={t_members}")
-    kept = [i for i in range(1, v.n + 1) if i not in t_members]
-    grid = v.grid()
-    layers = [
-        grid[tuple(
-            level if i in a_members else 0 if i in t_members else slice(None)
-            for i in range(1, v.n + 1)
-        )]
-        for level in range(v.k + 1)
-    ]
-    meta = {"macro_members": a_members, "kept": tuple(kept)}
-    return MultichoiceGame.from_grid(np.stack(layers, axis=-1), meta)
+    kept = tuple(i for i in range(1, v.n + 1) if i not in t_members)
+    # with T's axes in front, one level array on A's axes (0 on the rest of T)
+    # gathers every macro level at once onto a leading axis, which moves last
+    front = np.moveaxis(v.grid(), [i - 1 for i in t_members], range(len(t_members)))
+    levels = np.arange(v.k + 1)
+    gathered = front[tuple(levels if i in a_members else 0 for i in t_members)]
+    meta = {"macro_members": a_members, "kept": kept}
+    return MultichoiceGame.from_grid(np.moveaxis(gathered, 0, -1), meta)
 
 
 def permute_attributes(v: MultichoiceGame, sigma: Sequence[int]) -> MultichoiceGame:

@@ -138,6 +138,14 @@ def _mask(T: Iterable[int]) -> int:
     return sum(1 << (i - 1) for i in T)
 
 
+def _coalitions_upto(n: int, max_order: int, containing: int | None = None):
+    """Coalitions of order 1..max_order (with member ``containing``, if set), sorted."""
+    for size in range(1, min(n, max_order) + 1):
+        for T in combinations(range(1, n + 1), size):
+            if containing is None or containing in T:
+                yield T
+
+
 def _index_array(v: MultichoiceGame, limit_bits: int | None = None) -> np.ndarray:
     """Closed-form index of every coalition at once, by coalition mask.
 
@@ -294,7 +302,7 @@ def interaction_all_upto(
     m = _integer(m, "max order")
     if not 1 <= m <= v.n:
         raise ValueError(f"max order {m} outside 1..{v.n}")
-    coalitions = [T for size in range(1, m + 1) for T in combinations(range(1, v.n + 1), size)]
+    coalitions = list(_coalitions_upto(v.n, m))
     if method == "closed_form":
         every = _index_array(v, limit_bits)
         return {T: float(every[_mask(T)]) for T in coalitions}

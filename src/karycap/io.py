@@ -10,6 +10,7 @@ k = max(k_i) on load.
 from __future__ import annotations
 
 import json
+import math
 from typing import IO
 
 from .game import MultichoiceGame, check_table_size, extend_heterogeneous
@@ -48,9 +49,7 @@ def load_game(
             )
         if not all(_is_int(ki) and ki >= 1 for ki in k_field):
             raise GameFormatError(f'"k" list entries must be integers >= 1: {k_field}')
-        expected = 1
-        for ki in k_field:
-            expected *= ki + 1
+        expected = math.prod(ki + 1 for ki in k_field)
         values, offset = _values_array(values, expected, normalize)
         game = extend_heterogeneous(values, k_field, limit_bits=limit_bits)
         if offset:
@@ -100,7 +99,8 @@ def _parse(fp: IO[str]) -> dict:
 
 def _values_array(values, expected: int, normalize: bool) -> tuple[np.ndarray, float]:
     """Validated value array plus the offset removed by normalization."""
-    if not isinstance(values, list):
+    # JSON true is a bool and "1.5" a str: numpy would read both as numbers
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
         raise GameFormatError('"values" must be an array of numbers')
     if len(values) != expected:
         raise GameFormatError(
@@ -108,8 +108,8 @@ def _values_array(values, expected: int, normalize: bool) -> tuple[np.ndarray, f
         )
     try:
         arr = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise GameFormatError(f'"values" must be numeric: {exc}') from exc
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise GameFormatError('"values" must be finite numbers') from exc
     if not np.all(np.isfinite(arr)):
         raise GameFormatError('"values" must be finite numbers')
     offset = float(arr[0])

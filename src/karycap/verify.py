@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .game import (
     restrict_absent,
     restrict_present_top,
 )
-from .indices import _index_array, _mask, importance, interaction
+from .indices import _coalitions_upto, _index_array, _mask, importance, interaction
 
 AXIOMS = ("L", "N", "I", "S", "E", "R")
 
@@ -103,14 +102,9 @@ def make_invariance_partner(v: MultichoiceGame, i: int) -> MultichoiceGame:
     if v.k < 2:
         raise ValueError("the increment-shift relations degenerate for k < 2")
     (i,) = members_tuple((i,), v.n)
-    grid = v.grid()
-    ax = i - 1
-    layers = [np.zeros_like(np.take(grid, 0, axis=ax))]
-    v1 = np.take(grid, 1, axis=ax)
-    for level in range(1, v.k):
-        layers.append(np.take(grid, level + 1, axis=ax) - v1)
-    layers.append(np.take(grid, v.k, axis=ax) - np.take(grid, 0, axis=ax))
-    return MultichoiceGame.from_grid(np.stack(layers, axis=ax))
+    line = np.moveaxis(v.grid(), i - 1, 0)  # levels of i lead
+    shifted = np.concatenate([np.zeros_like(line[:1]), line[2:] - line[1], line[-1:] - line[:1]])
+    return MultichoiceGame.from_grid(np.moveaxis(shifted, 0, i - 1))
 
 
 def efficiency_rhs(v: MultichoiceGame) -> float:
@@ -119,13 +113,6 @@ def efficiency_rhs(v: MultichoiceGame) -> float:
     lo = grid[(slice(0, v.k),) * v.n]
     hi = grid[(slice(1, v.k + 1),) * v.n]
     return math.fsum((hi - lo).ravel().tolist())
-
-
-def _coalitions_upto(n: int, max_order: int, containing: int | None = None):
-    for size in range(1, min(n, max_order) + 1):
-        for T in combinations(range(1, n + 1), size):
-            if containing is None or containing in T:
-                yield T
 
 
 def _drop_and_renumber(T: tuple[int, ...], i: int) -> tuple[int, ...]:

@@ -294,10 +294,13 @@ class TestConvert:
         canon = json.loads(Path(dst).read_text())
         assert canon["k"] == 2 and len(canon["values"]) == 9
 
-    def test_write_to_stdout(self, capsys, min2_path):
+    def test_write_to_stdout(self, capsys, min2_path, tmp_path):
         code, out, _ = run(capsys, "convert", min2_path)
         doc = json.loads(out)
         assert code == 0 and doc["values"][4] == 1.0
+        dst = tmp_path / "out.json"
+        assert main(["convert", min2_path, "--out", str(dst)]) == 0
+        assert dst.read_text() == out
 
 
 class TestExitCodes:

@@ -75,6 +75,20 @@ class TestLoad:
         with pytest.raises(GameFormatError):
             load_game(path)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 1, "k": 1, "values": [0, True]},
+            {"n": 1, "k": 1, "values": [0, "1.5"]},
+            {"n": 2, "k": [1, 2], "values": [0, 1, 1, 2, True, 3]},
+            {"n": 1, "k": 1, "values": [0, 10**400]},
+        ],
+    )
+    def test_non_number_values_rejected(self, tmp_path, doc):
+        # numpy would read true as 1.0 and "1.5" as 1.5; 10**400 overflows a float
+        with pytest.raises(GameFormatError, match='"values"'):
+            load_game(write(tmp_path, doc))
+
     def test_size_guard(self, tmp_path):
         path = write(tmp_path, {"n": 30, "k": 3, "values": [0.0]})
         with pytest.raises(SizeLimitError):
