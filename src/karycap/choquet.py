@@ -13,12 +13,11 @@ sum over all cells of the classical interaction index of the section
 capacity, and likewise the integral of the corresponding mixed partial
 derivative of the extension over the whole box.  Both identities are
 implemented here as independent numerical checks, on top of the classical
-(k = 1) interaction index.  A cell's corners are the 2 x ... x 2 block of
-``v.grid()`` at its base, read in F order, so they come by coalition mask;
-the summed capacity of all cells is a difference of two shifted boxes of
-the grid per coalition.  The Monte-Carlo check differences each cell's
-block along the axes of T: the corner sum of the extension over T is then
-one Choquet integral of that T-difference capacity per sample.
+(k = 1) interaction index.  One reader gives a cell's corner values by
+coalition mask, from ``v.grid()`` or from that grid differenced along T,
+and one kernel extends a cell: its base value plus the Choquet integral
+of its increments.  The summed capacity of all cells is a difference of
+two shifted boxes of the grid per coalition.
 """
 
 from __future__ import annotations
@@ -41,24 +40,30 @@ from .game import (
 )
 
 
-def _cell(v: MultichoiceGame, q: Sequence[int]) -> np.ndarray:
-    """The 2 x ... x 2 block of ``v.grid()`` at cell base q, q in {0..k-1}^n."""
-    return v.grid()[tuple(slice(qi, qi + 2) for qi in q)]
+def _corners(grid: np.ndarray, q: Sequence[int], T: Sequence[int] = ()) -> np.ndarray:
+    """Values at the corners of the unit cell with base q, by coalition mask.
 
-
-def _section(v: MultichoiceGame, q: Sequence[int]) -> tuple[float, np.ndarray]:
-    """Game value at cell base q and the section capacity of that cell.
-
-    The capacity holds v(q raised by one on the coalition) - v(q) by
-    coalition mask (the F-order ravel of the block), so its entry 0 is 0.
+    ``grid`` is ``v.grid()`` or that grid differenced along the attributes
+    of T.  On T's axes the cell has one entry, so the mask runs over the
+    other attributes; the cell is read in F order.
     """
-    block = _cell(v, q).ravel(order="F")
-    return block[0], block - block[0]
+    block = grid[tuple(slice(qi, qi + (1 if i in T else 2)) for i, qi in enumerate(q, 1))]
+    return block.ravel(order="F")
+
+
+def _extend(corners: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Extension of a cell at each row of offsets U (values in [0, 1]).
+
+    The base value plus the Choquet integral of the increments, the cell's
+    section capacity.
+    """
+    return corners[0] + _choquet_batch(corners - corners[0], U)
 
 
 def section_capacity(v: MultichoiceGame, q: Sequence[int]) -> MultichoiceGame:
     """Capacity of the unit cell with base q, q in {0..k-1}^n, as a k = 1 game."""
-    return MultichoiceGame(v.n, 1, _section(v, _profile(q, v.n, v.k - 1))[1])
+    corners = _corners(v.grid(), _profile(q, v.n, v.k - 1))
+    return MultichoiceGame(v.n, 1, corners - corners[0])
 
 
 def _choquet_batch(mu: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -88,9 +93,8 @@ def choquet_capacity(mu: MultichoiceGame, w: Sequence[float]) -> float:
 
 def _eval_in_cell(v: MultichoiceGame, q: Sequence[int], z: np.ndarray) -> float:
     """Extension value at z computed through the cell based at q."""
-    vq, mu = _section(v, q)
     offs = z - np.asarray(q, dtype=np.float64)
-    return float(vq + _choquet_batch(mu, offs[None, :])[0])
+    return float(_extend(_corners(v.grid(), q), offs[None, :])[0])
 
 
 def choquet_kary(v: MultichoiceGame, z: Sequence[float]) -> float:
@@ -182,13 +186,9 @@ def integral_check(
 
     Over each unit cell the integral reduces to the alternating sum of the
     extension over the 0/1 corners in the T-coordinates, averaged over
-    uniform positions u of the other coordinates.  The T-coordinates rank
-    below or above every coordinate of u, and for a fixed ranking the
-    Choquet integral is linear in the capacity, so the corner sum is one
-    Choquet integral of (u, 1) under the T-difference capacity: the cell's
-    block differenced along the axes of T (v at the base cancels), on the
-    complement of T plus one attribute standing for T, and 0 on coalitions
-    without that attribute.  ``samples`` points are drawn per cell from a
+    uniform positions u of the other coordinates.  The grid is differenced
+    along the axes of T once, and that corner sum is the extension of the
+    differenced cell at u.  ``samples`` points are drawn per cell from a
     stream seeded by (seed, cell number in table order), so the result is
     deterministic.  For |T| = 1 this integrates the almost-everywhere
     partial derivative cell by cell.  Returns the estimate and its
@@ -211,15 +211,13 @@ def integral_check(
         v.k**n * 2 ** len(members) * (samples if m else 1), limit_bits, "Choquet evaluations"
     )
 
+    grid = v.grid()
+    for i in members:
+        grid = np.diff(grid, axis=i - 1)
     means, variances = [], []
     for ci, q in enumerate(profiles(n, v.k - 1)):
-        d = _cell(v, q)
-        for i in members:
-            d = np.diff(d, axis=i - 1)
-        # by complement mask, behind the zeros of the coalitions without T
-        cap = np.concatenate([np.zeros(2**m), d.ravel(order="F")])
         U = np.random.default_rng((seed, ci)).random((samples if m else 1, m))
-        g = _choquet_batch(cap, np.hstack([U, np.ones((len(U), 1))]))
+        g = _extend(_corners(grid, q, members), U)
         means.append(float(g.mean()))
         variances.append(float(g.var(ddof=1)) if m else 0.0)
     estimate = math.fsum(means)

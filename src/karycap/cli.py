@@ -18,7 +18,7 @@ import sys
 from typing import Sequence
 
 from .choquet import choquet_kary, integral_check
-from .game import MultichoiceGame, is_kary_capacity
+from .game import MultichoiceGame, _tolerance, is_kary_capacity
 from .indices import METHODS, interaction, interaction_all_upto, interaction_by_method
 from .io import GameFormatError, load_game, save_game
 from .verify import AXIOMS, efficiency_rhs, verify_axiom
@@ -28,8 +28,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if math.isnan(getattr(args, "tol", 0.0)):  # every comparison with nan is false
-            raise ValueError("tolerance nan is not a number")
+        _tolerance(getattr(args, "tol", 0.0))
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -206,6 +205,8 @@ def cmd_verify(args) -> int:
         unknown = [a for a in axioms if a not in AXIOMS]
         if unknown:
             raise UsageError(f"unknown axiom name(s): {', '.join(unknown)}")
+        if not axioms:
+            raise UsageError(f'--axioms "{args.axioms}" names no axiom')
     reports = [
         verify_axiom(a, args.trials, args.seed, args.n, args.k, args.tol, game, args.limit)
         for a in axioms

@@ -109,6 +109,14 @@ def _seed(seed) -> int:
     return seed
 
 
+def _tolerance(tol: float) -> None:
+    # no gap exceeds nan or inf, and every gap exceeds -inf: the check would decide nothing
+    if math.isnan(tol):
+        raise ValueError("tolerance nan is not a number")
+    if math.isinf(tol):
+        raise ValueError(f"tolerance {tol} is not finite")
+
+
 def members_tuple(T: Iterable[int], n: int) -> Coalition:
     """Validate a coalition: distinct 1-based integer attribute indices, sorted."""
     members = tuple(sorted(_integer(i, "coalition member") for i in T))

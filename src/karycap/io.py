@@ -9,6 +9,7 @@ k = max(k_i) on load.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from typing import IO
@@ -70,13 +71,13 @@ def load_game(
 def save_game(game: MultichoiceGame, path_or_fp: str | IO[str]) -> None:
     """Write a game in canonical uniform-k form; floats round-trip exactly."""
     doc = {"n": game.n, "k": game.k, "values": [float(x) for x in game.values]}
-    if isinstance(path_or_fp, str):
-        with open(path_or_fp, "w", encoding="utf-8") as fp:
-            json.dump(doc, fp)
-            fp.write("\n")
-    else:
-        json.dump(doc, path_or_fp)
-        path_or_fp.write("\n")
+    with (
+        open(path_or_fp, "w", encoding="utf-8")
+        if isinstance(path_or_fp, str)
+        else contextlib.nullcontext(path_or_fp)
+    ) as fp:
+        json.dump(doc, fp)
+        fp.write("\n")
 
 
 def _is_int(x) -> bool:

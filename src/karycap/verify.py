@@ -28,6 +28,7 @@ from .game import (
     MultichoiceGame,
     _integer,
     _seed,
+    _tolerance,
     add_games,
     check_table_size,
     members_tuple,
@@ -135,7 +136,7 @@ def verify_axiom(
     Draws fresh games per trial (or reuses ``game`` as the base subject
     while still drawing random partners, permutations and positions) and
     records every equation violation above ``tol * max(1, max|v|)``, v the
-    trial's base game; a NaN ``tol`` is rejected.  The largest gap between
+    trial's base game; a non-finite ``tol`` is rejected.  The largest gap between
     an index array and the closed form at the re-checked coalitions is
     ``closed_form_gap``; above the same tolerance it fails the report.
     ``limit_bits`` overrides the size guards of every game built, of the
@@ -147,8 +148,7 @@ def verify_axiom(
     trials = _integer(trials, "trial count")
     if trials < 1:
         raise ValueError("need at least one trial")
-    if math.isnan(tol):  # every gap > nan comparison is false: nothing could fail
-        raise ValueError("tolerance nan is not a number")
+    _tolerance(tol)
     seed = _seed(seed)
     if game is not None:
         n, k = game.n, game.k

@@ -209,14 +209,23 @@ class TestVerify:
         ids=lambda argv: argv[0],
     )
     def test_nan_tolerance_is_refused(self, capsys, min2_path, argv):
-        # every comparison with nan is false, so no verb that reads --tol takes it
+        # no gap exceeds nan or inf, so no verb that reads --tol takes a non-finite one;
+        # "--tol=" keeps argparse from reading -inf as an option
         argv = [min2_path if a == "GAME" else a for a in argv]
-        code, out, err = run(capsys, *argv, "--tol", "nan")
-        assert code == 1 and out == "" and "tolerance nan is not a number" in err
+        for tol, refusal in [("nan", "is not a number"), ("inf", "is not finite"),
+                             ("-inf", "is not finite")]:
+            code, out, err = run(capsys, *argv, f"--tol={tol}")
+            assert code == 1 and out == "" and f"tolerance {tol} {refusal}" in err
 
     def test_unknown_axiom(self, capsys):
         code, _, err = run(capsys, "verify", "--axioms", "Q")
         assert code == 2 and "unknown axiom" in err
+
+    @pytest.mark.parametrize("names", [",", " , "])
+    def test_axiom_list_naming_none_is_refused(self, capsys, names):
+        # a run of no checks would otherwise pass
+        code, out, err = run(capsys, "verify", "--axioms", names)
+        assert code == 2 and out == "" and "names no axiom" in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run(

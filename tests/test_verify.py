@@ -192,9 +192,12 @@ class TestVerifyAxiom:
         assert report.max_gap == max(f.gap for f in report.failures)
 
     def test_nan_tolerance_rejected(self):
-        # no gap exceeds nan, so a nan tolerance would pass every check
-        with pytest.raises(ValueError, match="tolerance nan"):
-            verify_axiom("E", 2, 11, 3, 2, tol=math.nan)
+        # no gap exceeds nan or inf, so a non-finite tolerance is refused
+        for tol, refusal in [(math.nan, "tolerance nan is not a number"),
+                             (math.inf, "tolerance inf is not finite"),
+                             (-math.inf, "tolerance -inf is not finite")]:
+            with pytest.raises(ValueError, match=refusal):
+                verify_axiom("E", 2, 11, 3, 2, tol=tol)
 
     @pytest.mark.parametrize(
         "axiom, games",
