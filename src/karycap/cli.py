@@ -3,7 +3,8 @@
 Verbs: info, importance, interaction, choquet, verify, integral-check,
 convert.  Every command is deterministic given its flags (seeds
 included).  Exit codes: 0 success / all checks passed, 1 validation or
-check failure, 2 usage error.
+check failure, 2 usage error; argparse reports every usage error, with
+the verb's usage line, before any file is read.
 """
 
 from __future__ import annotations
@@ -25,21 +26,39 @@ from .verify import AXIOMS, efficiency_rhs, verify_axiom
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         _tolerance(getattr(args, "tol", 0.0))
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (GameFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
-class UsageError(Exception):
-    pass
+def _coalition(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f'cannot parse coalition "{text}"; expected e.g. "1,3"')
+
+
+def _point(text: str) -> list[float]:
+    try:
+        return [float(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f'cannot parse point "{text}"')
+
+
+def _axioms(text: str) -> list[str]:
+    if text == "all":
+        return list(AXIOMS)
+    axioms = [a.strip().upper() for a in text.split(",") if a.strip()]
+    unknown = [a for a in axioms if a not in AXIOMS]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown axiom name(s): {', '.join(unknown)}")
+    if not axioms:
+        raise argparse.ArgumentTypeError(f'--axioms "{text}" names no axiom')
+    return axioms
 
 
 # built once per process: parse_args leaves a parser unchanged, and each
@@ -90,19 +109,21 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--order", type=int, help="all coalitions up to this size")
-    group.add_argument("--set", dest="set_", metavar="SET", help='one coalition, e.g. "1,3"')
+    group.add_argument(
+        "--set", dest="set_", type=_coalition, metavar="SET", help='one coalition, e.g. "1,3"'
+    )
     p.add_argument("--method", choices=METHODS, default="closed_form")
     p.set_defaults(func=cmd_interaction)
 
     p = sub.add_parser("choquet", help="evaluate the extension at a real point")
     common(p, emits=False)
-    p.add_argument("--point", required=True, help='coordinates, e.g. "0.5,0.3"')
+    p.add_argument("--point", type=_point, required=True, help='coordinates, e.g. "0.5,0.3"')
     p.set_defaults(func=cmd_choquet)
 
     p = sub.add_parser("verify", help="run the axiom suite")
     p.add_argument("path", nargs="?", help="optional game file used as the base game")
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--axioms", default="all", help='"all" or letters like "L,N,E"')
+    p.add_argument("--axioms", type=_axioms, default="all", help='"all" or letters like "L,N,E"')
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--n", type=int, default=3, help="attributes for random games")
@@ -112,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("integral-check", help="Monte-Carlo check of one interaction")
     common(p, tol=True)
-    p.add_argument("--set", dest="set_", metavar="SET", required=True)
+    p.add_argument("--set", dest="set_", type=_coalition, metavar="SET", required=True)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_integral_check)
@@ -126,14 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> MultichoiceGame:
     return load_game(args.path, normalize=args.normalize, limit_bits=args.limit)
-
-
-def _parse_set(text: str) -> tuple[int, ...]:
-    try:
-        members = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError(f'cannot parse coalition "{text}"; expected e.g. "1,3"')
-    return members
 
 
 def _coalition_key(T) -> str:
@@ -172,9 +185,8 @@ def cmd_importance(args) -> int:
 def cmd_interaction(args) -> int:
     game = _load(args)
     if args.set_ is not None:
-        T = _parse_set(args.set_)
-        value = interaction_by_method(game, T, args.method, args.limit)
-        doc = {"method": args.method, "interactions": {_coalition_key(T): value}}
+        value = interaction_by_method(game, args.set_, args.method, args.limit)
+        doc = {"method": args.method, "interactions": {_coalition_key(args.set_): value}}
     else:
         interactions = interaction_all_upto(game, args.order, args.method, args.limit)
         doc = {
@@ -187,29 +199,15 @@ def cmd_interaction(args) -> int:
 
 
 def cmd_choquet(args) -> int:
-    game = _load(args)
-    try:
-        z = [float(part) for part in args.point.split(",")]
-    except ValueError:
-        raise UsageError(f'cannot parse point "{args.point}"')
-    _write(f"{choquet_kary(game, z):.12g}\n", args)
+    _write(f"{choquet_kary(_load(args), args.point):.12g}\n", args)
     return 0
 
 
 def cmd_verify(args) -> int:
     game = _load(args) if args.path else None
-    if args.axioms == "all":
-        axioms = list(AXIOMS)
-    else:
-        axioms = [a.strip().upper() for a in args.axioms.split(",") if a.strip()]
-        unknown = [a for a in axioms if a not in AXIOMS]
-        if unknown:
-            raise UsageError(f"unknown axiom name(s): {', '.join(unknown)}")
-        if not axioms:
-            raise UsageError(f'--axioms "{args.axioms}" names no axiom')
     reports = [
         verify_axiom(a, args.trials, args.seed, args.n, args.k, args.tol, game, args.limit)
-        for a in axioms
+        for a in args.axioms
     ]
     doc = {
         "reports": [r.as_dict() for r in reports],
@@ -221,9 +219,8 @@ def cmd_verify(args) -> int:
 
 def cmd_integral_check(args) -> int:
     game = _load(args)
-    T = _parse_set(args.set_)
-    est = integral_check(game, T, args.samples, args.seed, args.limit)
-    closed = interaction(game, T, args.limit)
+    est = integral_check(game, args.set_, args.samples, args.seed, args.limit)
+    closed = interaction(game, args.set_, args.limit)
     gap = est.estimate - closed
     if est.std_error > 0.0:
         z = gap / est.std_error

@@ -7,10 +7,11 @@ least significant digit.  :class:`MultichoiceGame` alone knows this
 layout.  ``v.grid()`` views the table as an n-dimensional array whose
 axis i-1 carries the level of attribute i, and it is the only address of
 the table: a validated profile indexes it directly, and each game
-transform reads it in one expression.  The restrictions are slices,
-:func:`permute_attributes` is an axis move, :func:`extend_heterogeneous`
-gathers clamped levels, and :func:`reduce_group` is a gather on moved
-axes (T's axes in front, one level array on the axes of A); the axiom
+transform reads it through whole-array operations.  The restrictions are
+slices, :func:`permute_attributes` is an axis move,
+:func:`extend_heterogeneous` takes clamped levels along each short axis
+(k_i < k), and :func:`reduce_group` is a gather on moved axes (T's axes
+in front, one level array on the axes of A); the axiom
 partners of :mod:`karycap.verify` broadcast a new axis or concatenate
 along an axis moved to the front.  The indices are slices of it followed
 by differences along axes; ``MultichoiceGame.from_grid`` builds a game
@@ -55,9 +56,13 @@ def check_table_size(n: int, k: int, limit_bits: int | None = None) -> None:
     n, k = _integer(n, "attribute count n"), _integer(k, "top level k")
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    if n * math.log2(k + 1) > bits:
+    size_bits = n * math.log2(k + 1)
+    if size_bits > bits:
+        # the exact count only up to 2^64: 3**(10**7) takes seconds to build,
+        # and past 4,300 digits str() refuses it
+        count = (k + 1) ** n if size_bits <= 64 else f"about 2^{size_bits:.0f}"
         raise SizeLimitError(
-            f"table over {{0..{k}}}^{n} has (k+1)^n = {(k + 1) ** n} entries, "
+            f"table over {{0..{k}}}^{n} has (k+1)^n = {count} entries, "
             f"beyond the {bits}-bit limit; raise the limit explicitly if intended"
         )
 
@@ -238,7 +243,7 @@ def extend_heterogeneous(
     ``raw_values`` covers the product of {0..k_i} in little-endian
     mixed-radix order.  Levels above k_i are clamped to k_i, i.e. the top
     level of a short attribute is duplicated upward.  ``k`` defaults to
-    max(k_list) and may be set higher.
+    max(k_list) and may be set higher.  An axis with k_i = k is not gathered.
     """
     k_list = [_integer(ki, "level count") for ki in k_list]
     n = len(k_list)
@@ -253,17 +258,18 @@ def extend_heterogeneous(
     raw = np.asarray(raw_values, dtype=np.float64)
     if raw.shape != (expected,):
         raise ValueError(f"raw table length {raw.size}, expected {expected}")
-    if raw[0] != 0.0:
-        raise ValueError(f"raw value at the zero profile must be 0, got {raw[0]!r}")
-    # axis i-1 carries attribute i and reads its levels clamped to k_i
-    clamped = np.ix_(*(np.minimum(np.arange(k + 1), ki) for ki in k_list))
-    grid = raw.reshape([ki + 1 for ki in k_list], order="F")[clamped]
+    # axis i-1 carries attribute i; a short axis reads its levels clamped to k_i
+    grid = raw.reshape([ki + 1 for ki in k_list], order="F")
+    for axis, ki in enumerate(k_list):
+        if ki < k:
+            grid = np.take(grid, np.minimum(np.arange(k + 1), ki), axis=axis)
     meta = {"k_list": tuple(k_list)} if (k_list != [k] * n) else {}
     return MultichoiceGame.from_grid(grid, meta)
 
 
 def is_kary_capacity(v: MultichoiceGame, tol: float = 1e-9) -> bool:
-    """True iff v is nondecreasing along every +1 step (within tol) and v(top) = 1."""
+    """True iff v is nondecreasing along every +1 step (within a finite tol) and v(top) = 1."""
+    _tolerance(tol)
     grid = v.grid()
     for ax in range(v.n):
         steps = np.diff(grid, axis=ax)

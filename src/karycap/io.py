@@ -4,12 +4,15 @@ A game file is a JSON document ``{"n": int, "k": int | [int, ...],
 "values": [float, ...]}`` with values in canonical little-endian order.
 When ``k`` is a list, the table covers the product of {0..k_i} in the
 analogous mixed-radix order and is clamp-extended to the common
-k = max(k_i) on load.
+k = max(k_i) on load: along each short axis (k_i < k) the levels above
+k_i read level k_i.  A uniform ``k`` is the list [k] * n, and both forms
+pass the size guard before any value is read.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import math
 from typing import IO
@@ -33,51 +36,41 @@ def load_game(
     Heterogeneous level counts are clamp-extended to their maximum; the
     original list is kept in ``meta['k_list']``.
     """
-    if isinstance(path_or_fp, str):
-        with open(path_or_fp, "r", encoding="utf-8") as fp:
-            doc = _parse(fp)
-    else:
-        doc = _parse(path_or_fp)
+    with _opened(path_or_fp, "r") as fp:
+        doc = _parse(fp)
 
-    n, k_field, values = doc["n"], doc["k"], doc["values"]
+    n, k = doc["n"], doc["k"]
     if not _is_int(n) or n < 1:
         raise GameFormatError(f'"n" must be a positive integer, got {n!r}')
-
-    if isinstance(k_field, list):
-        if len(k_field) != n:
-            raise GameFormatError(
-                f'"k" list has {len(k_field)} entries, expected n = {n}'
-            )
-        if not all(_is_int(ki) and ki >= 1 for ki in k_field):
-            raise GameFormatError(f'"k" list entries must be integers >= 1: {k_field}')
-        expected = math.prod(ki + 1 for ki in k_field)
-        values, offset = _values_array(values, expected, normalize)
-        game = extend_heterogeneous(values, k_field, limit_bits=limit_bits)
-        if offset:
-            game = MultichoiceGame(
-                game.n, game.k, game.values, {**game.meta, "v0_offset": offset}
-            )
-        return game
-
-    k = k_field
-    if not _is_int(k) or k < 1:
+    if isinstance(k, list):
+        if len(k) != n:
+            raise GameFormatError(f'"k" list has {len(k)} entries, expected n = {n}')
+        if not all(_is_int(ki) and ki >= 1 for ki in k):
+            raise GameFormatError(f'"k" list entries must be integers >= 1: {k}')
+    elif not _is_int(k) or k < 1:
         raise GameFormatError(f'"k" must be an integer >= 1 or a list, got {k!r}')
-    check_table_size(n, k, limit_bits)
-    values, offset = _values_array(values, (k + 1) ** n, normalize)
-    meta = {"v0_offset": offset} if offset else {}
-    return MultichoiceGame(n, k, values, meta)
+    check_table_size(n, max(k) if isinstance(k, list) else k, limit_bits)
+    k_list = k if isinstance(k, list) else [k] * n
+
+    expected = math.prod(ki + 1 for ki in k_list)
+    values, offset = _values_array(doc["values"], expected, normalize)
+    game = extend_heterogeneous(values, k_list, limit_bits=limit_bits)
+    return dataclasses.replace(game, meta={**game.meta, "v0_offset": offset}) if offset else game
 
 
 def save_game(game: MultichoiceGame, path_or_fp: str | IO[str]) -> None:
     """Write a game in canonical uniform-k form; floats round-trip exactly."""
     doc = {"n": game.n, "k": game.k, "values": [float(x) for x in game.values]}
-    with (
-        open(path_or_fp, "w", encoding="utf-8")
-        if isinstance(path_or_fp, str)
-        else contextlib.nullcontext(path_or_fp)
-    ) as fp:
+    with _opened(path_or_fp, "w") as fp:
         json.dump(doc, fp)
         fp.write("\n")
+
+
+def _opened(path_or_fp: str | IO[str], mode: str):
+    # a path is opened and closed here; a file object stays open for its owner
+    if isinstance(path_or_fp, str):
+        return open(path_or_fp, mode, encoding="utf-8")
+    return contextlib.nullcontext(path_or_fp)
 
 
 def _is_int(x) -> bool:
@@ -115,8 +108,7 @@ def _values_array(values, expected: int, normalize: bool) -> tuple[np.ndarray, f
         raise GameFormatError('"values" must be finite numbers')
     offset = float(arr[0])
     if normalize:
-        arr = arr - arr[0]
-        arr[0] = 0.0
+        arr = arr - arr[0]  # x - x is 0 for finite x
     elif offset != 0.0:
         raise GameFormatError(
             f"value at the zero profile is {offset!r}, not 0; "

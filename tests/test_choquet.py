@@ -196,6 +196,8 @@ class TestChoquetKary:
             choquet_kary(m2, (-0.1, 0.0))
         with pytest.raises(ValueError, match="must lie in"):
             choquet_kary(m2, (float("nan"), 0.5))
+        with pytest.raises(ValueError, match="point has 1 coordinates, expected 2"):
+            choquet_kary(m2, (0.5,))
 
 
 class TestCellSum:

@@ -28,6 +28,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def usage_error(capsys, *argv):
+    """Exit code, stdout and stderr of an argv that argparse refuses."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
 class TestInfo:
     def test_min_game_summary(self, capsys, min2_path):
         code, out, _ = run(capsys, "info", min2_path)
@@ -51,6 +59,22 @@ class TestInfo:
         path.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "info", str(path))
         assert code == 0 and json.loads(out)["k_list"] == [1, 2]
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["info", "GAME"], ["n", "k", "table_size", "v_zero", "v_top", "is_kary_capacity"]),
+            (["integral-check", "GAME", "--set", "1,2", "--samples", "100"],
+             ["estimate", "std_error", "closed_form", "z_score"]),
+        ],
+        ids=lambda a: a[0],
+    )
+    def test_csv_key_value_rows(self, capsys, min2_path, argv, keys):
+        argv = [min2_path if a == "GAME" else a for a in argv]
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        rows = [line.split(",") for line in out.splitlines()]
+        assert code == 0 and rows[0] == ["key", "value"]
+        assert [row[0] for row in rows[1:]] == keys
 
     def test_truncated_table(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -140,8 +164,17 @@ class TestInteraction:
         assert code == 1 and "outside" in err
 
     def test_malformed_set_is_usage_error(self, capsys, min2_path):
-        code, _, err = run(capsys, "interaction", min2_path, "--set", "1,x")
-        assert code == 2
+        # argparse refuses it before the file is read, with its usage line
+        for argv, message in [
+            (["interaction", min2_path, "--set", "1,x"],
+             'argument --set: cannot parse coalition "1,x"; expected e.g. "1,3"'),
+            (["integral-check", min2_path, "--set", "1;2"], 'cannot parse coalition "1;2"'),
+            (["interaction", "/does/not/exist.json", "--set", ""], 'cannot parse coalition ""'),
+            (["choquet", min2_path, "--point", "0.5,x"], 'argument --point: cannot parse point'),
+        ]:
+            code, out, err = usage_error(capsys, *argv)
+            assert code == 2 and out == "" and err.startswith("usage: karycap")
+            assert message in err
 
     def test_requires_order_or_set(self, capsys, min2_path):
         with pytest.raises(SystemExit) as exc:
@@ -218,13 +251,13 @@ class TestVerify:
             assert code == 1 and out == "" and f"tolerance {tol} {refusal}" in err
 
     def test_unknown_axiom(self, capsys):
-        code, _, err = run(capsys, "verify", "--axioms", "Q")
-        assert code == 2 and "unknown axiom" in err
+        code, out, err = usage_error(capsys, "verify", "--axioms", "Q")
+        assert code == 2 and out == "" and "unknown axiom name(s): Q" in err
 
     @pytest.mark.parametrize("names", [",", " , "])
     def test_axiom_list_naming_none_is_refused(self, capsys, names):
         # a run of no checks would otherwise pass
-        code, out, err = run(capsys, "verify", "--axioms", names)
+        code, out, err = usage_error(capsys, "verify", "--axioms", names)
         assert code == 2 and out == "" and "names no axiom" in err
 
     def test_csv_format(self, capsys):

@@ -274,8 +274,11 @@ class TestGameConstruction:
         assert min_game(n, k).values.tobytes() == want.values.tobytes()
 
     def test_min_game_refused_before_allocating(self):
-        with pytest.raises(SizeLimitError, match="28-bit"):
+        with pytest.raises(SizeLimitError, match="= 1152921504606846976 entries, beyond the 28"):
             min_game(30, 3)
+        # past 2^64 entries the refusal gives bits, not the digits of 3**(10**6)
+        with pytest.raises(SizeLimitError, match=r"\(k\+1\)\^n = about 2\^1584963 entries"):
+            check_table_size(10**6, 2)
 
     def test_value_lookup(self, m2):
         assert m2.value((1, 2)) == 1.0
@@ -353,16 +356,19 @@ class TestHeterogeneousExtension:
         size = math.prod(ki + 1 for ki in k_list)
         raw = rng.uniform(-1, 1, size)
         raw[0] = 0.0
-        g = extend_heterogeneous(raw, k_list)
-        for x in product(range(4), repeat=3):
-            clamped = tuple(min(x[i], k_list[i]) for i in range(3))
-            assert g.value(x) == g.value(clamped)
+        table = raw.reshape([ki + 1 for ki in k_list], order="F")
+        for k in (3, 4):  # max(k_list), and a target above it that clamps every axis
+            g = extend_heterogeneous(raw, k_list, k)
+            for x in product(range(k + 1), repeat=3):
+                assert g.value(x) == table[tuple(min(x[i], k_list[i]) for i in range(3))]
 
     def test_rejects_bad_raw_table(self):
         with pytest.raises(ValueError, match="length"):
             extend_heterogeneous([0.0, 1.0, 2.0], [1, 2])
         with pytest.raises(ValueError, match="zero profile"):
             extend_heterogeneous([1.0, 2.0], [1])
+        with pytest.raises(ValueError, match="target k=1 below max"):
+            extend_heterogeneous([0.0, 1.0, 2.0], [2], k=1)
 
 
 class TestKaryCapacityCheck:
@@ -379,6 +385,13 @@ class TestKaryCapacityCheck:
         assert is_kary_capacity(v, tol=0.5)  # both defects inside a loose tolerance
         w = MultichoiceGame.from_values(1, 2, [0.0, 0.5, 1.0])
         assert is_kary_capacity(w)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # no step falls below -inf and none below nan: the answer would be vacuous
+        v = random_game(3, 3, 2, "general")
+        with pytest.raises(ValueError, match="^tolerance .* is not (a number|finite)$"):
+            is_kary_capacity(v, tol)
 
 
 class TestRestrictions:

@@ -132,6 +132,10 @@ class TestInteraction:
         with pytest.raises(ValueError, match="not an integer"):
             interaction(m2, (member,))
 
+    def test_rejects_duplicate_member(self, m2):
+        with pytest.raises(ValueError, match=r"coalition \(1, 1\) has duplicate members"):
+            interaction(m2, (1, 1))
+
     def test_accepts_numpy_integer_member(self, m2):
         assert interaction(m2, (np.int64(1),)) == interaction(m2, (1,))
 

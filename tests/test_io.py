@@ -1,3 +1,4 @@
+import io
 import json
 from pathlib import Path
 
@@ -17,9 +18,13 @@ def write(tmp_path, doc, name="game.json"):
 class TestLoad:
     def test_uniform_game(self, tmp_path, m2):
         path = write(tmp_path, {"n": 2, "k": 2, "values": m2.values.tolist()})
-        game = load_game(path)
-        assert game.n == 2 and game.k == 2
-        assert np.array_equal(game.values, m2.values)
+        with open(path, encoding="utf-8") as fp:
+            sources = [path, fp, io.StringIO(Path(path).read_text())]
+            for source in sources:  # a path, or a file object left open for its owner
+                game = load_game(source)
+                assert game.n == 2 and game.k == 2 and game.meta == {}
+                assert np.array_equal(game.values, m2.values)
+            assert not fp.closed
 
     def test_heterogeneous_clamp_extension(self, tmp_path):
         # raw over {0,1} x {0,1,2}: v(x1,x2) = x1 + x2
@@ -36,7 +41,14 @@ class TestLoad:
             load_game(path)
         game = load_game(path, normalize=True)
         assert game.values.tolist() == [0.0, 0.75]
-        assert game.meta["v0_offset"] == 0.25
+        assert game.meta == {"v0_offset": 0.25}
+        # a heterogeneous file keeps its k list beside the offset
+        path = write(tmp_path, {"n": 2, "k": [1, 2], "values": [0.5, 1, 1, 2, 2, 3]})
+        with pytest.raises(GameFormatError, match="normalize"):
+            load_game(path)
+        game = load_game(path, normalize=True)
+        assert game.values.tolist() == [0.0, 0.5, 0.5, 0.5, 1.5, 1.5, 1.5, 2.5, 2.5]
+        assert game.meta == {"k_list": (1, 2), "v0_offset": 0.5}
 
     def test_length_mismatch(self, tmp_path):
         path = write(tmp_path, {"n": 2, "k": 2, "values": [0.0] * 8})
@@ -90,9 +102,11 @@ class TestLoad:
             load_game(write(tmp_path, doc))
 
     def test_size_guard(self, tmp_path):
-        path = write(tmp_path, {"n": 30, "k": 3, "values": [0.0]})
-        with pytest.raises(SizeLimitError):
-            load_game(path)
+        # both k forms meet the guard before the values are read
+        for n, k in [(30, 3), (30, [3] * 30), (30, [1] * 29 + [3]), (10**6, 2)]:
+            path = write(tmp_path, {"n": n, "k": k, "values": [0.0]})
+            with pytest.raises(SizeLimitError, match="entries, beyond the 28-bit limit"):
+                load_game(path)
 
 
 class TestSaveRoundTrip:

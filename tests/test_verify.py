@@ -264,6 +264,11 @@ class TestVerifyAxiom:
         with pytest.raises(ValueError, match="not an integer"):
             verify_axiom("E", trials, 1, 2, 2)
 
+    def test_rejects_zero_trials(self):
+        # a report over no trials would pass vacuously
+        with pytest.raises(ValueError, match="at least one trial"):
+            verify_axiom("E", 0, 1, 2, 2)
+
     def test_invariance_needs_multiple_levels(self):
         with pytest.raises(ValueError):
             verify_axiom("I", 1, 1, 3, 1)
