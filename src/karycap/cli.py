@@ -289,8 +289,8 @@ def _to_csv(doc: dict) -> str:
             )
     else:
         writer.writerow(["key", "value"])
-        for key, val in doc.items():
-            writer.writerow([key, _csv_num(val)])
+        for key, val in doc.items():  # a list value spans one cell per entry
+            writer.writerow([key, *map(_csv_num, val if isinstance(val, list) else [val])])
     return buf.getvalue()
 
 

@@ -15,8 +15,8 @@ Every index reads the table through ``v.grid()``: a basic slice of the
 grid (levels 0 and k on the axes of T, say) followed by ``np.diff`` along
 each axis of T.  To keep results reproducible and well conditioned, the
 resulting terms are grouped by (s, kap) class and summed per class in
-canonical table order (attribute 1 fastest); the rational coefficient is
-converted to a double only when a whole class total is multiplied in.
+canonical table order (attribute 1 fastest); each rational coefficient is
+rounded to a double once per class table, one table per shape of terms.
 
 Two independently computable forms are provided as cross-checks: a sum
 of discrete derivatives over all unit cells, and an expansion through
@@ -69,7 +69,6 @@ from .game import (
 METHODS = ("closed_form", "derivative_sum", "recursive", "cellsum")
 
 
-@functools.cache
 def shapley_coefficient(n: int, t: int, s: int, kap: int) -> Fraction:
     """Exact class coefficient (n-s-t)! kap! / (n-s+kap-t+1)!.
 
@@ -84,19 +83,19 @@ def shapley_coefficient(n: int, t: int, s: int, kap: int) -> Fraction:
     )
 
 
-def _classes(shape: tuple[int, ...], n: int, k: int) -> np.ndarray:
-    """(s, kap) class id of each entry of an array of ``shape``, in F order.
+def _combine_classes(terms: np.ndarray) -> float:
+    """Per-(s, kap)-class totals of ``terms``, each scaled by its coefficient.
 
-    An entry's index along each axis is a level; support size s counts the
-    levels above 0 and kernel size kap those at k, and the class id is
-    s * (n + 1) + kap.  Axes of length 1 (those of T) add nothing and leave
-    the F-order ravel alone, so they are dropped from the cache key.  Only
-    shapes of at most ``_CACHED_CLASS_IDS`` entries are cached.
+    Axes of length 1 are those of T, and every other axis indexes a level
+    of {0..k}: n is ``terms.ndim`` and t the number of length-1 axes, which
+    leave the F-order ravel alone and so are dropped from the table's key.
     """
-    shape = tuple(d for d in shape if d > 1)
-    if math.prod(shape) > _CACHED_CLASS_IDS:
-        return _class_ids.__wrapped__(shape, n, k)
-    return _class_ids(shape, n, k)
+    shape = tuple(d for d in terms.shape if d > 1)
+    build = _classes if math.prod(shape) <= _CACHED_CLASS_IDS else _classes.__wrapped__
+    ids, coefficients = build(shape, terms.ndim)
+    sums = np.bincount(ids, weights=terms.ravel(order="F"), minlength=coefficients.size)
+    present = np.flatnonzero(sums)
+    return math.fsum(coefficients[present] * sums[present])
 
 
 # 128 KiB of int64 ids per cached shape, so the 32 cached shapes stay under 4 MiB
@@ -104,22 +103,20 @@ _CACHED_CLASS_IDS = 2**14
 
 
 @functools.lru_cache(maxsize=32)
-def _class_ids(shape: tuple[int, ...], n: int, k: int) -> np.ndarray:
-    levels = np.indices(shape)
+def _classes(shape: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(s, kap) class ids of an array of ``shape`` in F order, and the class
+    coefficients by id, each rounded once; ``shape`` holds the axes outside T.
+    """
+    levels = np.indices(shape)  # s counts the levels above 0, kap those at k
     s_arr = np.count_nonzero(levels > 0, axis=0)
-    kap_arr = np.count_nonzero(levels == k, axis=0)
-    cid = np.ravel(s_arr * (n + 1) + kap_arr, order="F")
-    cid.flags.writeable = False  # shared by every caller
-    return cid
-
-
-def _combine_classes(n: int, t: int, cid: np.ndarray, terms: np.ndarray) -> float:
-    """Per-(s, kap)-class totals, each scaled by its exact coefficient."""
-    sums = np.bincount(cid, weights=terms, minlength=(n + 1) ** 2)
-    return math.fsum(
-        float(shapley_coefficient(n, t, int(c) // (n + 1), int(c) % (n + 1))) * sums[c]
-        for c in np.nonzero(sums)[0]
-    )
+    kap_arr = np.count_nonzero(levels == max(shape, default=1) - 1, axis=0)
+    ids = np.ravel(s_arr * (n + 1) + kap_arr, order="F")
+    coefficients = np.zeros((n + 1) ** 2)
+    for s in range(len(shape) + 1):
+        for kap in range(s + 1):
+            coefficients[s * (n + 1) + kap] = shapley_coefficient(n, n - len(shape), s, kap)
+    ids.flags.writeable = coefficients.flags.writeable = False  # shared by every caller
+    return ids, coefficients
 
 
 def _closed_form(v: MultichoiceGame, members: Coalition, limit_bits: int | None) -> float:
@@ -130,7 +127,7 @@ def _closed_form(v: MultichoiceGame, members: Coalition, limit_bits: int | None)
     terms = v.grid()[ends]
     for i in members:
         terms = np.diff(terms, axis=i - 1)
-    return _combine_classes(n, t, _classes(terms.shape, n, k), terms.ravel(order="F"))
+    return _combine_classes(terms)
 
 
 def _mask(T: Iterable[int]) -> int:
@@ -212,7 +209,7 @@ def interaction_via_derivatives(
     for i in members:
         deltas = np.diff(deltas, axis=i - 1)
     terms = deltas.sum(axis=tuple(i - 1 for i in members), keepdims=True)
-    return _combine_classes(n, t, _classes(terms.shape, n, k), terms.ravel(order="F"))
+    return _combine_classes(terms)
 
 
 def interaction_recursive(
@@ -261,7 +258,7 @@ def lattice_point_interaction(v: MultichoiceGame, x: Sequence[int]) -> float:
     # the axes outside J hold levels {0, k} at indices {0, 1}: read as a k = 1
     # grid, h attributes at the top make class (s, kap) = (h, h), whose
     # coefficient (n-j-h)! h! / (n-j+1)! is the weight of this index
-    return _combine_classes(v.n, len(J), _classes(deltas.shape, v.n, 1), deltas.ravel(order="F"))
+    return _combine_classes(deltas)
 
 
 def interaction_by_method(

@@ -60,7 +60,7 @@ def load_game(
 
 def save_game(game: MultichoiceGame, path_or_fp: str | IO[str]) -> None:
     """Write a game in canonical uniform-k form; floats round-trip exactly."""
-    doc = {"n": game.n, "k": game.k, "values": [float(x) for x in game.values]}
+    doc = {"n": game.n, "k": game.k, "values": game.values.tolist()}
     with _opened(path_or_fp, "w") as fp:
         json.dump(doc, fp)
         fp.write("\n")

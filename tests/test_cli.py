@@ -59,6 +59,8 @@ class TestInfo:
         path.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "info", str(path))
         assert code == 0 and json.loads(out)["k_list"] == [1, 2]
+        code, out, _ = run(capsys, "info", str(path), "--format", "csv")
+        assert code == 0 and "k_list,1,2" in out.splitlines()
 
     @pytest.mark.parametrize(
         "argv, keys",

@@ -29,8 +29,8 @@ from karycap.cli import main
 from karycap.game import add_games
 from karycap.indices import (
     METHODS,
-    _class_ids,
     _classes,
+    _combine_classes,
     _index_array,
     _mask,
     interaction_by_method,
@@ -344,7 +344,58 @@ GAME_SPACE = (
 )
 
 
+def exact_interaction(v: MultichoiceGame, T: tuple[int, ...]) -> Fraction:
+    """I(T) of the float table in rationals: exact corner sums and coefficients."""
+    n, k, t = v.n, v.k, len(T)
+    outside = [i for i in range(1, n + 1) if i not in T]
+    total = Fraction(0)
+    for y in product(range(k + 1), repeat=n - t):
+        corner_sum = Fraction(0)
+        for top in product((0, 1), repeat=t):
+            x = [0] * n
+            for i, level in zip(outside + list(T), y + tuple(k * b for b in top)):
+                x[i - 1] = level
+            corner_sum += (-1) ** (t - sum(top)) * Fraction(v.value(x))
+        s, kap = sum(level > 0 for level in y), sum(level == k for level in y)
+        total += shapley_coefficient(n, t, s, kap) * corner_sum
+    return total
+
+
 class TestRoutesAgree:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 3), *GAME_SPACE)
+    def test_every_float_route_is_within_an_a_priori_bound_of_exact(
+        self, n, k, kind, scale, seed, data
+    ):
+        # Each route sums table values times weights of magnitude at most 1.
+        # Along any one path from a value to the result it rounds at most
+        # D = (k+1)^n + 2n + 4 times: one plain sum of at most (k+1)^n terms
+        # (a class total, a cell total or the per-axis level sums of the
+        # pass), at most 2n differences or sweep and row additions, and at
+        # most four more: a coefficient or a division, a product and up to
+        # two fsums.  The same sum with every
+        # value and weight replaced by its magnitude is at most
+        # 2^(n+1) * sum|v|: a value enters at most 2^n corner sums, cells or
+        # coalitions, and the cell route counts each cell base once more.  So
+        # |route - exact| <= gamma_D * 2^(n+1) * sum|v|, with
+        # gamma_D = D u / (1 - D u) <= 1.01 D u and u = 2^-53.
+        v = fuzz_game(n, k, kind, scale, seed, data)
+        depth = (k + 1) ** n + 2 * n + 4
+        bound = 1.01 * depth * 2.0**-53 * 2 ** (n + 1) * math.fsum(np.abs(v.values))
+        every = _index_array(v)
+        for t in range(1, n + 1):
+            for T in combinations(range(1, n + 1), t):
+                want = exact_interaction(v, T)
+                routes = {
+                    "interaction": interaction(v, T),
+                    "index_array": float(every[_mask(T)]),
+                    "derivative_sum": interaction_via_derivatives(v, T),
+                    "recursive": interaction_recursive(v, T),
+                    "cellsum": interaction_cellsum(v, T),
+                }
+                for route, got in routes.items():
+                    assert abs(Fraction(got) - want) <= bound, (route, T, float(want), got)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 3), *GAME_SPACE)
     def test_every_route_matches_the_closed_form(self, n, k, kind, scale, seed, data):
@@ -396,16 +447,44 @@ class TestIndexArray:
 
 class TestClassIds:
     def test_only_small_shapes_are_cached(self):
-        _class_ids.cache_clear()
-        small = _classes((4, 1, 4), 3, 3)
-        assert _class_ids.cache_info().currsize == 1
-        assert _classes((4, 4), 3, 3) is small  # length-1 axes leave the key alone
-        big = _classes((4,) * 8, 8, 3)  # 2**16 ids: built for the caller only
-        assert _class_ids.cache_info().currsize == 1
-        assert not small.flags.writeable and not big.flags.writeable
+        _classes.cache_clear()
+        _combine_classes(np.ones((4, 1, 4)))
+        assert _classes.cache_info().currsize == 1
+        ids, coefficients = _classes((4, 4), 3)  # length-1 axes leave the key alone
+        assert _classes.cache_info().hits == 1
+        _combine_classes(np.ones((4,) * 8 + (1,)))  # 2**16 ids: built for the caller only
+        assert _classes.cache_info().currsize == 1
+        big, big_coefficients = _classes.__wrapped__((4,) * 8, 9)
+        for array in (ids, coefficients, big, big_coefficients):
+            assert not array.flags.writeable
         levels = np.indices((4,) * 8).reshape(8, -1, order="F")
-        want = (levels > 0).sum(axis=0) * 9 + (levels == 3).sum(axis=0)
+        want = (levels > 0).sum(axis=0) * 10 + (levels == 3).sum(axis=0)
         assert np.array_equal(big, want)
+
+    @pytest.mark.parametrize("shape, n", [((4, 4), 3), ((2, 2, 2), 5), ((), 2), ((4,) * 8, 9)])
+    def test_coefficient_row_rounds_each_class_once(self, shape, n):
+        ids, coefficients = _classes.__wrapped__(shape, n)
+        for c in np.unique(ids):
+            s, kap = divmod(int(c), n + 1)
+            assert coefficients[c] == float(shapley_coefficient(n, n - len(shape), s, kap))
+
+    def test_cached_shape_converts_no_fraction(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return shapley_coefficient(*args)
+
+        monkeypatch.setattr("karycap.indices.shapley_coefficient", counted)
+        _classes.cache_clear()
+        v = random_game(41, 4, 3, "general")
+        interaction(v, (1, 3))
+        assert calls
+        calls.clear()
+        for T in [(1, 3), (2, 4), (1, 2)]:
+            interaction(v, T)
+            interaction_via_derivatives(v, T)
+        assert calls == []
 
 
 class TestLinearity:
