@@ -23,7 +23,6 @@ two shifted boxes of the grid per coalition.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
@@ -127,12 +126,7 @@ def classical_interaction(v: MultichoiceGame, S: Iterable[int]) -> float:
     ]
     terms = []
     for t in range(len(others) + 1):
-        coeff = float(
-            Fraction(
-                math.factorial(n - t - s) * math.factorial(t),
-                math.factorial(n - s + 1),
-            )
-        )
+        coeff = math.factorial(n - t - s) * math.factorial(t) / math.factorial(n - s + 1)
         for Tset in combinations(others, t):
             tmask = sum(1 << p for p in Tset)
             inner = math.fsum(sign * v.values[tmask | kmask] for sign, kmask in inner_masks)

@@ -37,10 +37,12 @@ axis with D if the attribute is in U and with P otherwise,
     I(T) = sum over U containing T of h(U) / (|U - T| + 1),
 
 the multichoice form of Grabisch's Moebius formula (1997).
-:func:`_index_array` contracts the table once, sweeps |U - T| through
-the 2^n result as a leading axis of degree rows, and weighs row d by
-1 / (d + 1): every all-coalition closed-form request reads that one
-pass, while the per-coalition closed form above stays the reference.
+:func:`_index_array` contracts ``v.grid()`` once per axis through basic
+slices, sweeps |U - T| through the 2^n result as a leading axis of
+degree rows, and weighs row d by 1 / (d + 1): every all-coalition
+closed-form request, :mod:`karycap.verify`'s axioms included, reads that
+one pass through :func:`interaction_all_upto`, while the per-coalition
+closed form above stays the reference.
 """
 
 from __future__ import annotations
@@ -135,14 +137,6 @@ def _mask(T: Iterable[int]) -> int:
     return sum(1 << (i - 1) for i in T)
 
 
-def _coalitions_upto(n: int, max_order: int, containing: int | None = None):
-    """Coalitions of order 1..max_order (with member ``containing``, if set), sorted."""
-    for size in range(1, min(n, max_order) + 1):
-        for T in combinations(range(1, n + 1), size):
-            if containing is None or containing in T:
-                yield T
-
-
 def _index_array(v: MultichoiceGame, limit_bits: int | None = None) -> np.ndarray:
     """Closed-form index of every coalition at once, by coalition mask.
 
@@ -152,12 +146,15 @@ def _index_array(v: MultichoiceGame, limit_bits: int | None = None) -> np.ndarra
     """
     n, k = v.n, v.k
     check_query_size(max((k + 1) ** n, n * 2**n), limit_bits)
-    # each axis: its entry 0 sums levels 0..k-1 (row P), entry 1 is top minus bottom (D)
+    # each axis: its entry 0 sums levels 0..k-1 (row P), entry 1 is top minus bottom (D);
+    # numpy sums k >= 8 entries pairwise along the fastest axis and in sequence along
+    # any other, so h is kept in C order to fix the rounding of each sum
     h = v.grid()
     for ax in range(n):
-        lower = h[(slice(None),) * ax + (slice(0, k),)].sum(axis=ax)
-        top_minus_bottom = np.take(h, k, axis=ax) - np.take(h, 0, axis=ax)
-        h = np.stack([lower, top_minus_bottom], axis=ax)
+        lead = (slice(None),) * ax
+        h = np.concatenate([h[lead + (slice(0, k),)].sum(axis=ax, keepdims=True),
+                            h[lead + (slice(k, k + 1),)] - h[lead + (slice(0, 1),)]],
+                           axis=ax, out=np.empty((2,) * (ax + 1) + (k + 1,) * (n - ax - 1)))
     # row d at T sums h(U) over the U containing T with |U - T| = d: on each
     # axis, entry 0 (i not in T) gains entry 1 (i in U) one degree up
     g = np.zeros((n,) + h.shape)
@@ -299,10 +296,10 @@ def interaction_all_upto(
     m = _integer(m, "max order")
     if not 1 <= m <= v.n:
         raise ValueError(f"max order {m} outside 1..{v.n}")
-    coalitions = list(_coalitions_upto(v.n, m))
+    coalitions = [T for size in range(1, m + 1) for T in combinations(range(1, v.n + 1), size)]
     if method == "closed_form":
-        every = _index_array(v, limit_bits)
-        return {T: float(every[_mask(T)]) for T in coalitions}
+        every = _index_array(v, limit_bits).tolist()
+        return {T: every[_mask(T)] for T in coalitions}
     if method == "cellsum":
         total = _summed_capacity(v, limit_bits)
         return {T: classical_interaction(total, T) for T in coalitions}

@@ -4,16 +4,15 @@ Each axiom of the interaction index (linearity, null attribute,
 increment invariance, symmetry, efficiency, recursion) is turned into a
 seeded randomized check: draw games, build the transformed partner the
 axiom talks about, and compare both sides of its equation numerically.
-Each game a check builds is indexed once, by the all-coalition pass of
-:mod:`karycap.indices` that also serves ``interaction_all_upto`` and the
-CLI's importance and interaction verbs (one index array per game), and
-the coalitions of the equation are read out of those arrays at their
-masks.  Each trial also re-checks one
-of those arrays against the per-coalition closed form that
-:func:`~karycap.indices.importance` and :func:`~karycap.indices.interaction`
-serve, at one drawn attribute and one drawn coalition.  Reports collect
-every violation above tolerance, so a passing report means the whole
-trial batch stayed within bounds.
+Each game a check builds is indexed once, by what
+``interaction_all_upto(..., "closed_form")`` serves the CLI's importance
+and interaction verbs (one all-coalition pass per game, keyed by
+coalition), and the coalitions of the equation are read out of those
+tables.  Each trial also re-checks one of those tables against the
+per-coalition closed form that :func:`~karycap.indices.importance` and
+:func:`~karycap.indices.interaction` serve, at one drawn attribute and
+one drawn coalition.  Reports collect every violation above tolerance,
+so a passing report means the whole trial batch stayed within bounds.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .game import (
     restrict_absent,
     restrict_present_top,
 )
-from .indices import _coalitions_upto, _index_array, _mask, importance, interaction
+from .indices import importance, interaction, interaction_all_upto
 
 AXIOMS = ("L", "N", "I", "S", "E", "R")
 
@@ -65,7 +64,6 @@ class VerificationReport:
     failures: list[Failure] = field(default_factory=list)
 
     def record(self, tol: float, seed: int, subject: tuple, lhs: float, rhs: float) -> None:
-        lhs, rhs = float(lhs), float(rhs)  # index-array entries are numpy scalars
         gap = abs(lhs - rhs)
         self.max_gap = max(self.max_gap, gap)
         if gap > tol:
@@ -137,10 +135,11 @@ def verify_axiom(
     while still drawing random partners, permutations and positions) and
     records every equation violation above ``tol * max(1, max|v|)``, v the
     trial's base game; a non-finite ``tol`` is rejected.  The largest gap between
-    an index array and the closed form at the re-checked coalitions is
+    a table served by ``interaction_all_upto(..., "closed_form")`` and the
+    per-coalition closed form at the re-checked coalitions is
     ``closed_form_gap``; above the same tolerance it fails the report.
     ``limit_bits`` overrides the size guards of every game built, of the
-    index array computed for each and of the closed-form queries.
+    all-coalition pass made for each and of the closed-form queries.
     Deterministic for a given (axiom, trials, seed, n, k, game).
     """
     if axiom not in AXIOMS:
@@ -173,13 +172,17 @@ def verify_axiom(
     return report
 
 
+def _indexed(v, bits):
+    # every index an axiom reads, as served to the importance and interaction verbs
+    return interaction_all_upto(v, min(MAX_ORDER, v.n), "closed_form", bits)
+
+
 def _check_closed_form(report, rng, v, iv, tol, bits):
-    # the array against the served per-coalition closed form, at one drawn
+    # the served table against the per-coalition closed form, at one drawn
     # attribute and one drawn coalition of the largest order checked
     i = int(rng.integers(1, v.n + 1))
     T = tuple(sorted(int(j) + 1 for j in rng.choice(v.n, min(v.n, MAX_ORDER), replace=False)))
-    gap = max(abs(importance(v, i, bits) - float(iv[_mask((i,))])),
-              abs(interaction(v, T, bits) - float(iv[_mask(T)])))
+    gap = max(abs(importance(v, i, bits) - iv[(i,)]), abs(interaction(v, T, bits) - iv[T]))
     report.closed_form_gap = max(report.closed_form_gap, gap)
     if gap > tol:
         report.passed = False
@@ -189,63 +192,60 @@ def _check_linearity(report, rng, ts, v, tol, bits):
     w = random_game(int(rng.integers(0, 2**31)), v.n, v.k, "general", bits)
     alpha = float(rng.uniform(-2.0, 2.0))
     combo = add_games(v, w, alpha)
-    iv, iw, icombo = _index_array(v, bits), _index_array(w, bits), _index_array(combo, bits)
-    for T in _coalitions_upto(v.n, MAX_ORDER):
-        m = _mask(T)
-        report.record(tol, ts, T, icombo[m], iv[m] + alpha * iw[m])
+    iv, iw, icombo = _indexed(v, bits), _indexed(w, bits), _indexed(combo, bits)
+    for T in iv:
+        report.record(tol, ts, T, icombo[T], iv[T] + alpha * iw[T])
     return v, iv
 
 
 def _check_null(report, rng, ts, v, tol, bits):
     position = int(rng.integers(1, v.n + 2))
     ext = make_null_extension(v, position, bits)
-    iext = _index_array(ext, bits)
-    for T in _coalitions_upto(ext.n, MAX_ORDER, containing=position):
-        report.record(tol, ts, T, iext[_mask(T)], 0.0)
+    iext = _indexed(ext, bits)
+    for T in iext:
+        if position in T:
+            report.record(tol, ts, T, iext[T], 0.0)
     return ext, iext
 
 
 def _check_invariance(report, rng, ts, v, tol, bits):
     i = int(rng.integers(1, v.n + 1))
     w = make_invariance_partner(v, i)
-    iv, iw = _index_array(v, bits), _index_array(w, bits)
-    for T in _coalitions_upto(v.n, MAX_ORDER, containing=i):
-        report.record(tol, ts, T, iv[_mask(T)], iw[_mask(T)])
+    iv, iw = _indexed(v, bits), _indexed(w, bits)
+    for T in iv:
+        if i in T:
+            report.record(tol, ts, T, iv[T], iw[T])
     return v, iv
 
 
 def _check_symmetry(report, rng, ts, v, tol, bits):
     sigma = tuple(int(s) + 1 for s in rng.permutation(v.n))
     relabeled = permute_attributes(v, sigma)
-    iv, irelabeled = _index_array(v, bits), _index_array(relabeled, bits)
-    for T in _coalitions_upto(v.n, MAX_ORDER):
-        sigma_T = (sigma[i - 1] for i in T)
-        report.record(tol, ts, T, irelabeled[_mask(sigma_T)], iv[_mask(T)])
+    iv, irelabeled = _indexed(v, bits), _indexed(relabeled, bits)
+    for T in iv:
+        report.record(tol, ts, T, irelabeled[tuple(sorted(sigma[i - 1] for i in T))], iv[T])
     return v, iv
 
 
 def _check_efficiency(report, rng, ts, v, tol, bits):
-    iv = _index_array(v, bits)
-    lhs = math.fsum(iv[_mask((i,))] for i in range(1, v.n + 1))
+    iv = _indexed(v, bits)
+    lhs = math.fsum(iv[(i,)] for i in range(1, v.n + 1))
     report.record(tol, ts, ("total",), lhs, efficiency_rhs(v))
     return v, iv
 
 
 def _check_recursion(report, rng, ts, v, tol, bits):
-    iv = _index_array(v, bits)
+    iv = _indexed(v, bits)
     parts = {
-        i: (
-            _index_array(restrict_present_top(v, i), bits),
-            _index_array(restrict_absent(v, (i,)), bits),
-        )
+        i: (_indexed(restrict_present_top(v, i), bits), _indexed(restrict_absent(v, (i,)), bits))
         for i in range(1, v.n + 1)
     }
-    for T in _coalitions_upto(v.n, MAX_ORDER):
+    for T in iv:
         if len(T) < 2:
             continue
-        lhs = iv[_mask(T)]
+        lhs = iv[T]
         for i in T:
-            rest = _mask(_drop_and_renumber(T, i))
+            rest = _drop_and_renumber(T, i)
             top, absent = parts[i]
             report.record(tol, ts, T + ("drop", i), lhs, top[rest] - absent[rest])
     return v, iv

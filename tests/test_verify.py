@@ -212,11 +212,23 @@ class TestVerifyAxiom:
             calls.append(limit_bits)
             return _index_array(v, limit_bits)
 
-        monkeypatch.setattr(verify_module, "_index_array", counted)
+        monkeypatch.setattr("karycap.indices._index_array", counted)
         for n in (2, 4):
             calls.clear()
             verify_axiom(axiom, 3, 5, n, 3, limit_bits=20)
             assert calls == [20] * (3 * games(n))
+
+    def test_the_served_table_is_what_is_checked(self, monkeypatch):
+        # a skew in what interaction_all_upto serves reaches the axiom equations
+        served = verify_module.interaction_all_upto
+
+        def skewed(*args):
+            return {T: x + 1e-3 * (len(T) >= 2) for T, x in served(*args).items()}
+
+        monkeypatch.setattr(verify_module, "interaction_all_upto", skewed)
+        report = verify_axiom("N", 2, 3, 3, 2)
+        assert not report.passed and report.failures
+        assert all(len(f.subject) >= 2 for f in report.failures)
 
     @pytest.mark.parametrize("axiom", AXIOMS)
     def test_two_closed_form_queries_per_trial(self, monkeypatch, axiom):
