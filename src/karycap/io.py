@@ -58,12 +58,24 @@ def load_game(
     return dataclasses.replace(game, meta={**game.meta, "v0_offset": offset}) if offset else game
 
 
+#: Values encoded per write; the writer holds one chunk as Python floats.
+_CHUNK = 4096
+
+
 def save_game(game: MultichoiceGame, path_or_fp: str | IO[str]) -> None:
-    """Write a game in canonical uniform-k form; floats round-trip exactly."""
-    doc = {"n": game.n, "k": game.k, "values": game.values.tolist()}
+    """Write a game in canonical uniform-k form, as one line.
+
+    The bytes are ``json.dumps`` of the document plus a newline, so floats
+    round-trip exactly; the table is encoded in fixed-size chunks, so the
+    writer's memory does not grow with it.
+    """
+    values = game.values
     with _opened(path_or_fp, "w") as fp:
-        json.dump(doc, fp)
-        fp.write("\n")
+        fp.write(f'{{"n": {game.n}, "k": {game.k}, "values": [')
+        for a in range(0, values.size, _CHUNK):
+            # json.dumps takes the C encoder, which json.dump never does
+            fp.write((", " if a else "") + json.dumps(values[a : a + _CHUNK].tolist())[1:-1])
+        fp.write("]}\n")
 
 
 def _opened(path_or_fp: str | IO[str], mode: str):

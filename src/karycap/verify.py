@@ -158,10 +158,11 @@ def verify_axiom(
     report = VerificationReport(axiom=axiom, trials=trials)
     if axiom == "I":
         report.note = "constructive one-attribute partner; valid under either quantifier reading"
-    trial_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials)
+    # a seed drawn per trial: one vectorised draw's stream, without its array
+    seeds = np.random.default_rng(seed)
     checker = _CHECKERS[axiom]
-    for ts in trial_seeds:
-        ts = int(ts)
+    for _ in range(trials):
+        ts = int(seeds.integers(0, 2**63 - 1))
         rng = np.random.default_rng(ts)
         v = game if game is not None else random_game(
             int(rng.integers(0, 2**31)), n, k, "general", limit_bits

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +343,7 @@ class TestConvert:
         code, out, _ = run(capsys, "convert", min2_path)
         doc = json.loads(out)
         assert code == 0 and doc["values"][4] == 1.0
+        assert out == json.dumps(doc) + "\n" and not sys.stdout.closed
         dst = tmp_path / "out.json"
         assert main(["convert", min2_path, "--out", str(dst)]) == 0
         assert dst.read_text() == out

@@ -1,11 +1,13 @@
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from karycap import GameFormatError, load_game, random_game, save_game
+import karycap.io as game_io
+from karycap import GameFormatError, MultichoiceGame, load_game, random_game, save_game
 from karycap.game import SizeLimitError
 
 
@@ -125,3 +127,56 @@ class TestSaveRoundTrip:
         path = str(tmp_path / "m2.json")
         save_game(m2, path)
         assert np.array_equal(load_game(path).values, m2.values)
+
+
+class TestSaveBytes:
+    """The writer emits json.dumps of the document plus a newline, in bounded memory."""
+
+    @staticmethod
+    def reference(game):
+        return json.dumps({"n": game.n, "k": game.k, "values": game.values.tolist()}) + "\n"
+
+    @staticmethod
+    def saved(game):
+        buf = io.StringIO()
+        save_game(game, buf)
+        assert not buf.closed  # a file object stays open for its owner
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("n, k", [(5, 4), (6, 3), (12, 1), (13, 1), (8, 2)])
+    def test_bytes_equal_json_dumps_of_the_document(self, n, k):
+        # 3125, 4096, 4096, 8192 and 6561 values: part of a chunk, one, two, and a tail
+        game = random_game(n + 10 * k, n, k, "general")
+        assert self.saved(game) == self.reference(game)
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_tables_around_the_chunk_size(self, monkeypatch, shift):
+        # one value short of a chunk, exactly a chunk, and one value over
+        game = random_game(7, 2, 2, "general")
+        monkeypatch.setattr(game_io, "_CHUNK", game.values.size - shift)
+        assert self.saved(game) == self.reference(game)
+
+    def test_extreme_floats_round_trip_bitwise(self, tmp_path):
+        values = random_game(8, 3, 3, "general").values.copy()
+        values[:6] = [-0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e-7, -1e-7]
+        game = MultichoiceGame(3, 3, values)
+        text = self.saved(game)
+        assert text == self.reference(game)
+        path = tmp_path / "extreme.json"
+        path.write_text(text)
+        assert load_game(str(path)).values.tobytes() == values.tobytes()
+
+    def test_memory_does_not_grow_with_the_table(self):
+        game = random_game(9, 9, 3, "general")  # 262,144 values; tolist() alone holds 8 MiB
+
+        class Sink:
+            def write(self, text):
+                pass
+
+        tracemalloc.start()
+        try:
+            save_game(game, Sink())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -280,6 +281,38 @@ class TestVerifyAxiom:
         # a report over no trials would pass vacuously
         with pytest.raises(ValueError, match="at least one trial"):
             verify_axiom("E", 0, 1, 2, 2)
+
+    def test_trial_seeds_are_drawn_as_the_trials_run(self, monkeypatch):
+        # no array of trial seeds up front: the first trial starts at once
+        class FirstTrial(Exception):
+            pass
+
+        def first_trial(*args):
+            raise FirstTrial
+
+        monkeypatch.setattr(verify_module, "random_game", first_trial)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstTrial):
+                verify_axiom("E", 10**7, 1, 2, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_trial_streams_follow_one_vectorised_seed_draw(self, monkeypatch):
+        # each trial's game seed is the first draw of default_rng(trial seed)
+        drawn = []
+        build = verify_module.random_game
+
+        def recorded(seed, *args):
+            drawn.append(seed)
+            return build(seed, *args)
+
+        monkeypatch.setattr(verify_module, "random_game", recorded)
+        verify_axiom("E", 50, 17, 2, 1)
+        trial_seeds = np.random.default_rng(17).integers(0, 2**63 - 1, size=50)
+        assert drawn == [int(np.random.default_rng(int(ts)).integers(0, 2**31)) for ts in trial_seeds]
 
     def test_invariance_needs_multiple_levels(self):
         with pytest.raises(ValueError):
