@@ -22,7 +22,7 @@ from .choquet import choquet_kary, integral_check
 from .game import MultichoiceGame, _tolerance, is_kary_capacity
 from .indices import METHODS, interaction, interaction_all_upto, interaction_by_method
 from .io import GameFormatError, load_game, save_game
-from .verify import AXIOMS, efficiency_rhs, verify_axiom
+from .verify import AXIOMS, efficiency_rhs, verify_axioms
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -205,10 +205,9 @@ def cmd_choquet(args) -> int:
 
 def cmd_verify(args) -> int:
     game = _load(args) if args.path else None
-    reports = [
-        verify_axiom(a, args.trials, args.seed, args.n, args.k, args.tol, game, args.limit)
-        for a in args.axioms
-    ]
+    reports = verify_axioms(
+        args.axioms, args.trials, args.seed, args.n, args.k, args.tol, game, args.limit
+    )
     doc = {
         "reports": [r.as_dict() for r in reports],
         "passed": all(r.passed for r in reports),

@@ -137,6 +137,20 @@ def _mask(T: Iterable[int]) -> int:
     return sum(1 << (i - 1) for i in T)
 
 
+# layouts of at most 4,096 coalitions are cached (every layout with n <= 12),
+# so the 16 cached layouts stay under 8 MiB
+_CACHED_LAYOUT_N = 12
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(n: int, m: int) -> tuple[tuple[Coalition, ...], np.ndarray]:
+    """Coalitions of order 1..m in served order, and their :func:`_mask` positions."""
+    coalitions = tuple(T for size in range(1, m + 1) for T in combinations(range(1, n + 1), size))
+    masks = np.array([_mask(T) for T in coalitions], dtype=np.intp)
+    masks.flags.writeable = False  # shared by every caller
+    return coalitions, masks
+
+
 def _index_array(v: MultichoiceGame, limit_bits: int | None = None) -> np.ndarray:
     """Closed-form index of every coalition at once, by coalition mask.
 
@@ -296,10 +310,10 @@ def interaction_all_upto(
     m = _integer(m, "max order")
     if not 1 <= m <= v.n:
         raise ValueError(f"max order {m} outside 1..{v.n}")
-    coalitions = [T for size in range(1, m + 1) for T in combinations(range(1, v.n + 1), size)]
+    build = _layout if v.n <= _CACHED_LAYOUT_N else _layout.__wrapped__
+    coalitions, masks = build(v.n, m)
     if method == "closed_form":
-        every = _index_array(v, limit_bits).tolist()
-        return {T: every[_mask(T)] for T in coalitions}
+        return dict(zip(coalitions, _index_array(v, limit_bits)[masks].tolist()))
     if method == "cellsum":
         total = _summed_capacity(v, limit_bits)
         return {T: classical_interaction(total, T) for T in coalitions}

@@ -13,13 +13,18 @@ per-coalition closed form that :func:`~karycap.indices.importance` and
 :func:`~karycap.indices.interaction` serve, at one drawn attribute and
 one drawn coalition.  Reports collect every violation above tolerance,
 so a passing report means the whole trial batch stayed within bounds.
+A run over several axioms (:func:`verify_axioms`) builds each trial's
+base game once and indexes each distinct game once per trial; each axiom
+keeps its own stream, so every report equals a single-axiom run's.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
@@ -119,6 +124,76 @@ def _drop_and_renumber(T: tuple[int, ...], i: int) -> tuple[int, ...]:
     return tuple(j - 1 if j > i else j for j in T if j != i)
 
 
+def verify_axioms(
+    axioms: Iterable[str],
+    trials: int,
+    seed: int,
+    n: int,
+    k: int,
+    tol: float = 1e-9,
+    game: MultichoiceGame | None = None,
+    limit_bits: int | None = None,
+) -> list[VerificationReport]:
+    """Randomized check of several interaction-index axioms, one report each.
+
+    Draws fresh games per trial (or reuses ``game`` as the base subject
+    while still drawing random partners, permutations and positions) and
+    records every equation violation above ``tol * max(1, max|v|)``, v the
+    trial's base game; a non-finite ``tol`` is rejected.  The largest gap between
+    a table served by ``interaction_all_upto(..., "closed_form")`` and the
+    per-coalition closed form at the re-checked coalitions is
+    ``closed_form_gap``; above the same tolerance it fails the report.
+    ``limit_bits`` overrides the size guards of every game built, of the
+    all-coalition pass made for each and of the closed-form queries.
+    Every argument is checked before the first trial.
+
+    Each trial's base game is built once and shared by the axioms, and each
+    distinct game is indexed once per trial.  Every axiom reads the trial's
+    stream from the point after the base game's draw, as a run of that
+    axiom alone does, so each report equals :func:`verify_axiom`'s.
+    Deterministic for a given (axioms, trials, seed, n, k, game).
+    """
+    axioms = tuple(axioms)
+    if not axioms:
+        raise ValueError("need at least one axiom")
+    for axiom in axioms:
+        if axiom not in AXIOMS:
+            raise ValueError(f"unknown axiom {axiom!r}, expected one of {AXIOMS}")
+    trials = _integer(trials, "trial count")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    _tolerance(tol)
+    seed = _seed(seed)
+    if game is not None:
+        n, k = game.n, game.k
+    for axiom in axioms:
+        if axiom == "I" and k < 2:
+            raise ValueError("axiom I needs k >= 2; its relations degenerate otherwise")
+        if axiom == "R" and n < 2:
+            raise ValueError("axiom R needs at least two attributes")
+    note = "constructive one-attribute partner; valid under either quantifier reading"
+    reports = [VerificationReport(a, trials, note=note if a == "I" else "") for a in axioms]
+    # a seed drawn per trial: one vectorised draw's stream, without its array
+    seeds = np.random.default_rng(seed)
+    for _ in range(trials):
+        ts = int(seeds.integers(0, 2**63 - 1))
+        rng = np.random.default_rng(ts)
+        v = game if game is not None else random_game(
+            int(rng.integers(0, 2**31)), n, k, "general", limit_bits
+        )
+        scaled_tol = tol * max(1.0, float(np.abs(v.values).max()))
+        # the axioms share v's table, built on first use; a partner is indexed by
+        # the one check that builds it and freed with it, not kept for the trial
+        base_table = functools.cache(lambda: _indexed(v, limit_bits))
+        after_base = rng.bit_generator.state
+        for report in reports:
+            rng.bit_generator.state = after_base
+            checker = _CHECKERS[report.axiom]
+            indexed, indices = checker(report, rng, ts, v, scaled_tol, base_table, limit_bits)
+            _check_closed_form(report, rng, indexed, indices, scaled_tol, limit_bits)
+    return reports
+
+
 def verify_axiom(
     axiom: str,
     trials: int,
@@ -131,46 +206,11 @@ def verify_axiom(
 ) -> VerificationReport:
     """Randomized check of one interaction-index axiom.
 
-    Draws fresh games per trial (or reuses ``game`` as the base subject
-    while still drawing random partners, permutations and positions) and
-    records every equation violation above ``tol * max(1, max|v|)``, v the
-    trial's base game; a non-finite ``tol`` is rejected.  The largest gap between
-    a table served by ``interaction_all_upto(..., "closed_form")`` and the
-    per-coalition closed form at the re-checked coalitions is
-    ``closed_form_gap``; above the same tolerance it fails the report.
-    ``limit_bits`` overrides the size guards of every game built, of the
-    all-coalition pass made for each and of the closed-form queries.
-    Deterministic for a given (axiom, trials, seed, n, k, game).
+    The one report of :func:`verify_axioms` on ``(axiom,)``, which describes
+    the trials, the tolerance and ``limit_bits``; a run over several axioms
+    with the same arguments gives ``axiom`` this same report.
     """
-    if axiom not in AXIOMS:
-        raise ValueError(f"unknown axiom {axiom!r}, expected one of {AXIOMS}")
-    trials = _integer(trials, "trial count")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    _tolerance(tol)
-    seed = _seed(seed)
-    if game is not None:
-        n, k = game.n, game.k
-    if axiom == "I" and k < 2:
-        raise ValueError("axiom I needs k >= 2; its relations degenerate otherwise")
-    if axiom == "R" and n < 2:
-        raise ValueError("axiom R needs at least two attributes")
-    report = VerificationReport(axiom=axiom, trials=trials)
-    if axiom == "I":
-        report.note = "constructive one-attribute partner; valid under either quantifier reading"
-    # a seed drawn per trial: one vectorised draw's stream, without its array
-    seeds = np.random.default_rng(seed)
-    checker = _CHECKERS[axiom]
-    for _ in range(trials):
-        ts = int(seeds.integers(0, 2**63 - 1))
-        rng = np.random.default_rng(ts)
-        v = game if game is not None else random_game(
-            int(rng.integers(0, 2**31)), n, k, "general", limit_bits
-        )
-        scaled_tol = tol * max(1.0, float(np.abs(v.values).max()))
-        indexed, indices = checker(report, rng, ts, v, scaled_tol, limit_bits)
-        _check_closed_form(report, rng, indexed, indices, scaled_tol, limit_bits)
-    return report
+    return verify_axioms((axiom,), trials, seed, n, k, tol, game, limit_bits)[0]
 
 
 def _indexed(v, bits):
@@ -189,17 +229,17 @@ def _check_closed_form(report, rng, v, iv, tol, bits):
         report.passed = False
 
 
-def _check_linearity(report, rng, ts, v, tol, bits):
+def _check_linearity(report, rng, ts, v, tol, base_table, bits):
     w = random_game(int(rng.integers(0, 2**31)), v.n, v.k, "general", bits)
     alpha = float(rng.uniform(-2.0, 2.0))
     combo = add_games(v, w, alpha)
-    iv, iw, icombo = _indexed(v, bits), _indexed(w, bits), _indexed(combo, bits)
+    iv, iw, icombo = base_table(), _indexed(w, bits), _indexed(combo, bits)
     for T in iv:
         report.record(tol, ts, T, icombo[T], iv[T] + alpha * iw[T])
     return v, iv
 
 
-def _check_null(report, rng, ts, v, tol, bits):
+def _check_null(report, rng, ts, v, tol, base_table, bits):
     position = int(rng.integers(1, v.n + 2))
     ext = make_null_extension(v, position, bits)
     iext = _indexed(ext, bits)
@@ -209,34 +249,34 @@ def _check_null(report, rng, ts, v, tol, bits):
     return ext, iext
 
 
-def _check_invariance(report, rng, ts, v, tol, bits):
+def _check_invariance(report, rng, ts, v, tol, base_table, bits):
     i = int(rng.integers(1, v.n + 1))
     w = make_invariance_partner(v, i)
-    iv, iw = _indexed(v, bits), _indexed(w, bits)
+    iv, iw = base_table(), _indexed(w, bits)
     for T in iv:
         if i in T:
             report.record(tol, ts, T, iv[T], iw[T])
     return v, iv
 
 
-def _check_symmetry(report, rng, ts, v, tol, bits):
+def _check_symmetry(report, rng, ts, v, tol, base_table, bits):
     sigma = tuple(int(s) + 1 for s in rng.permutation(v.n))
     relabeled = permute_attributes(v, sigma)
-    iv, irelabeled = _indexed(v, bits), _indexed(relabeled, bits)
+    iv, irelabeled = base_table(), _indexed(relabeled, bits)
     for T in iv:
         report.record(tol, ts, T, irelabeled[tuple(sorted(sigma[i - 1] for i in T))], iv[T])
     return v, iv
 
 
-def _check_efficiency(report, rng, ts, v, tol, bits):
-    iv = _indexed(v, bits)
+def _check_efficiency(report, rng, ts, v, tol, base_table, bits):
+    iv = base_table()
     lhs = math.fsum(iv[(i,)] for i in range(1, v.n + 1))
     report.record(tol, ts, ("total",), lhs, efficiency_rhs(v))
     return v, iv
 
 
-def _check_recursion(report, rng, ts, v, tol, bits):
-    iv = _indexed(v, bits)
+def _check_recursion(report, rng, ts, v, tol, base_table, bits):
+    iv = base_table()
     parts = {
         i: (_indexed(restrict_present_top(v, i), bits), _indexed(restrict_absent(v, (i,)), bits))
         for i in range(1, v.n + 1)

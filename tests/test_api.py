@@ -53,7 +53,9 @@ MODULE_ONLY = {
         "reduce_group",
     ),
     "karycap.indices": ("shapley_coefficient",),
-    "karycap.verify": ("make_null_extension", "make_invariance_partner", "efficiency_rhs"),
+    "karycap.verify": (
+        "make_null_extension", "make_invariance_partner", "efficiency_rhs", "verify_axioms",
+    ),
 }
 
 

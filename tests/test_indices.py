@@ -32,6 +32,7 @@ from karycap.indices import (
     _classes,
     _combine_classes,
     _index_array,
+    _layout,
     _mask,
     interaction_by_method,
     shapley_coefficient,
@@ -443,6 +444,23 @@ class TestIndexArray:
         with pytest.raises(SizeLimitError, match="160 table lookups.*beyond the 7-bit limit"):
             _index_array(v, 7)
         assert _index_array(v, 8).shape == (2**5,)
+
+    @pytest.mark.parametrize("method", ["closed_form", "derivative_sum"])
+    def test_only_small_layouts_are_cached(self, method):
+        # every route reads the one coalition layout; n = 13 is built per call
+        _layout.cache_clear()
+        for n, m in [(5, 3), (5, 3), (13, 1)]:
+            v = random_game(n, n, 1, "general")
+            served = interaction_all_upto(v, m, method)
+            coalitions = [T for t in range(1, m + 1) for T in combinations(range(1, n + 1), t)]
+            assert list(served) == coalitions
+            if method == "closed_form":
+                every = _index_array(v)
+                assert list(served.values()) == [float(every[_mask(T)]) for T in coalitions]
+        assert _layout.cache_info()[:2] == (1, 1)  # (hits, misses): (5, 3) only
+        assert _layout.cache_info().currsize == 1
+        for _, masks in (_layout(5, 3), _layout.__wrapped__(13, 1)):
+            assert not masks.flags.writeable
 
 
 class TestClassIds:

@@ -18,7 +18,12 @@ from karycap import (
 )
 import karycap.verify as verify_module
 from karycap.indices import _index_array
-from karycap.verify import efficiency_rhs, make_invariance_partner, make_null_extension
+from karycap.verify import (
+    efficiency_rhs,
+    make_invariance_partner,
+    make_null_extension,
+    verify_axioms,
+)
 from conftest import assert_close
 
 
@@ -330,6 +335,58 @@ class TestVerifyAxiom:
             v = random_game(seed + 1000, 3, 2, "general")
             total = math.fsum(interaction_all_upto(v, 1).values())
             assert_close(total, efficiency_rhs(v))
+
+
+class TestVerifyAxioms:
+    @pytest.mark.parametrize("given", [False, True])
+    @pytest.mark.parametrize("seed", [1, 5, 19, 77, 2024])
+    @pytest.mark.parametrize("axioms", [AXIOMS, ("S", "S", "E"), ("R", "L", "N")])
+    def test_a_shared_run_changes_no_report(self, axioms, seed, given):
+        # every report, failure lists in order, equals a run of its axiom alone
+        game = random_game(seed + 500, 4, 3) if given else None
+        args = (3, seed, 4, 3, -1.0, game, 20)
+        shared = verify_axioms(axioms, *args)
+        assert [r.axiom for r in shared] == list(axioms)
+        assert all(r.failures for r in shared)
+        assert [r.as_dict() for r in shared] == [verify_axiom(a, *args).as_dict() for a in axioms]
+
+    @pytest.mark.parametrize("given", [False, True])
+    def test_each_game_is_built_and_indexed_once_per_trial(self, monkeypatch, given):
+        # the base game is shared; L's partner is the only other random game, and
+        # the passes are v, L's partner and sum, N's extension, I's and S's
+        # partners, and R's 2n restrictions
+        games, passes = [], []
+        build = verify_module.random_game
+
+        def built(*args):
+            games.append(args)
+            return build(*args)
+
+        def indexed(v, limit_bits=None):
+            passes.append(limit_bits)
+            return _index_array(v, limit_bits)
+
+        monkeypatch.setattr(verify_module, "random_game", built)
+        monkeypatch.setattr("karycap.indices._index_array", indexed)
+        n, trials = 5, 3
+        game = random_game(7, n, 3) if given else None
+        assert all(r.passed for r in verify_axioms(AXIOMS, trials, 9, n, 3, game=game, limit_bits=20))
+        assert len(games) == (1 if given else 2) * trials
+        assert passes == [20] * ((6 + 2 * n) * trials)
+
+    def test_every_axiom_is_checked_before_the_first_game(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(verify_module, "random_game", lambda *args: built.append(args))
+        with pytest.raises(ValueError, match="axiom I needs k >= 2; its relations degenerate"):
+            verify_axioms(("L", "E", "I"), 2, 1, 3, 1)
+        with pytest.raises(ValueError, match="unknown axiom 'Z'"):
+            verify_axioms(("L", "Z"), 2, 1, 3, 2)
+        assert built == []
+
+    def test_rejects_an_empty_axiom_list(self):
+        # a run of no checks would pass vacuously
+        with pytest.raises(ValueError, match="at least one axiom"):
+            verify_axioms((), 2, 1, 3, 2)
 
 
 class TestLemma4:
