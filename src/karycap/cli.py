@@ -28,7 +28,6 @@ from .verify import AXIOMS, efficiency_rhs, verify_axioms
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _tolerance(getattr(args, "tol", 0.0))
         return args.func(args)
     except (GameFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -47,6 +46,14 @@ def _point(text: str) -> list[float]:
         return [float(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f'cannot parse point "{text}"')
+
+
+def _tol(text: str) -> float:
+    try:
+        _tolerance(tol := float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return tol
 
 
 def _axioms(text: str) -> list[str]:
@@ -88,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if emits:
             p.add_argument("--format", choices=("json", "csv"), default="json")
         if tol:
-            p.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
+            p.add_argument("--tol", type=_tol, default=1e-9, help="numeric tolerance")
         p.add_argument(
             "--limit",
             type=int,

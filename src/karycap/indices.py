@@ -272,13 +272,11 @@ def lattice_point_interaction(v: MultichoiceGame, x: Sequence[int]) -> float:
     return _combine_classes(deltas)
 
 
-def interaction_by_method(
-    v: MultichoiceGame, T: Iterable[int], method: str, limit_bits: int | None = None
-) -> float:
-    """Interaction of T computed by one of :data:`METHODS`.
+def _route(method: str):
+    """The function that computes one coalition's interaction by ``method``.
 
-    Each method's function is looked up by its module-level name at call
-    time, so a rebinding of that name (a wrapper, say) is honoured.
+    Looked up by its module-level name when called, so a rebinding of that
+    name (a wrapper, say) is honoured.
     """
     compute = {
         "closed_form": interaction,
@@ -288,7 +286,14 @@ def interaction_by_method(
     }.get(method)
     if compute is None:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    return compute(v, T, limit_bits)
+    return compute
+
+
+def interaction_by_method(
+    v: MultichoiceGame, T: Iterable[int], method: str, limit_bits: int | None = None
+) -> float:
+    """Interaction of T computed by one of :data:`METHODS`."""
+    return _route(method)(v, T, limit_bits)
 
 
 def interaction_all_upto(
@@ -305,16 +310,21 @@ def interaction_all_upto(
     closed_form reads every coalition from one :func:`_index_array` pass,
     and cellsum sums the cells' capacities once and indexes every
     coalition in that one k = 1 game, as :func:`interaction_cellsum` does
-    for one.
+    for one.  The method and those two routes' size guards are checked
+    before the coalitions are listed.
     """
     m = _integer(m, "max order")
     if not 1 <= m <= v.n:
         raise ValueError(f"max order {m} outside 1..{v.n}")
+    compute = _route(method)  # an unknown method is refused before any work
+    if method == "closed_form":
+        index = _index_array(v, limit_bits)
+    elif method == "cellsum":
+        total = _summed_capacity(v, limit_bits)
     build = _layout if v.n <= _CACHED_LAYOUT_N else _layout.__wrapped__
     coalitions, masks = build(v.n, m)
     if method == "closed_form":
-        return dict(zip(coalitions, _index_array(v, limit_bits)[masks].tolist()))
+        return dict(zip(coalitions, index[masks].tolist()))
     if method == "cellsum":
-        total = _summed_capacity(v, limit_bits)
         return {T: classical_interaction(total, T) for T in coalitions}
-    return {T: interaction_by_method(v, T, method, limit_bits) for T in coalitions}
+    return {T: compute(v, T, limit_bits) for T in coalitions}

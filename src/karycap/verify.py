@@ -2,28 +2,25 @@
 
 Each axiom of the interaction index (linearity, null attribute,
 increment invariance, symmetry, efficiency, recursion) is turned into a
-seeded randomized check: draw games, build the transformed partner the
-axiom talks about, and compare both sides of its equation numerically.
-Each game a check builds is indexed once, by what
+seeded randomized check.  The axiom's builder draws the partners its
+equation talks about and lists the games the equation reads.  One driver,
+:func:`verify_axioms`, indexes each game by what
 ``interaction_all_upto(..., "closed_form")`` serves the CLI's importance
 and interaction verbs (one all-coalition pass per game, keyed by
-coalition), and the coalitions of the equation are read out of those
-tables.  Each trial also re-checks one of those tables against the
-per-coalition closed form that :func:`~karycap.indices.importance` and
-:func:`~karycap.indices.interaction` serve, at one drawn attribute and
-one drawn coalition.  Reports collect every violation above tolerance,
-so a passing report means the whole trial batch stayed within bounds.
-A run over several axioms (:func:`verify_axioms`) builds each trial's
-base game once and indexes each distinct game once per trial; each axiom
-keeps its own stream, so every report equals a single-axiom run's.
+coalition), records both sides of every equation over those tables, and
+re-checks the first game's table against the per-coalition closed form
+of :func:`~karycap.indices.importance` and
+:func:`~karycap.indices.interaction` at one drawn attribute and one
+drawn coalition.  Reports collect every violation above tolerance, so a
+passing report means the whole trial batch stayed within bounds.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -119,11 +116,6 @@ def efficiency_rhs(v: MultichoiceGame) -> float:
     return math.fsum((hi - lo).ravel().tolist())
 
 
-def _drop_and_renumber(T: tuple[int, ...], i: int) -> tuple[int, ...]:
-    # coalition T without i, renumbered for the game with attribute i removed
-    return tuple(j - 1 if j > i else j for j in T if j != i)
-
-
 def verify_axioms(
     axioms: Iterable[str],
     trials: int,
@@ -147,10 +139,10 @@ def verify_axioms(
     all-coalition pass made for each and of the closed-form queries.
     Every argument is checked before the first trial.
 
-    Each trial's base game is built once and shared by the axioms, and each
-    distinct game is indexed once per trial.  Every axiom reads the trial's
-    stream from the point after the base game's draw, as a run of that
-    axiom alone does, so each report equals :func:`verify_axiom`'s.
+    Each trial's base game is built once and indexed at most once for all
+    the axioms.  Every axiom reads the trial's stream from the point after
+    the base game's draw, as a run of that axiom alone does, so each report
+    equals :func:`verify_axiom`'s.
     Deterministic for a given (axioms, trials, seed, n, k, game).
     """
     axioms = tuple(axioms)
@@ -182,15 +174,23 @@ def verify_axioms(
             int(rng.integers(0, 2**31)), n, k, "general", limit_bits
         )
         scaled_tol = tol * max(1.0, float(np.abs(v.values).max()))
-        # the axioms share v's table, built on first use; a partner is indexed by
-        # the one check that builds it and freed with it, not kept for the trial
-        base_table = functools.cache(lambda: _indexed(v, limit_bits))
+        iv = None  # v's table, indexed for the first axiom that lists v
         after_base = rng.bit_generator.state
         for report in reports:
             rng.bit_generator.state = after_base
-            checker = _CHECKERS[report.axiom]
-            indexed, indices = checker(report, rng, ts, v, scaled_tol, base_table, limit_bits)
-            _check_closed_form(report, rng, indexed, indices, scaled_tol, limit_bits)
+            games, equations = _BUILDERS[report.axiom](rng, v, limit_bits)
+            games = iter(games)
+            checked = next(games)  # the game whose table the trial re-checks
+            # R's games are built as they are reached and freed once indexed
+            tables = [
+                iv if g is v and iv is not None else _indexed(g, limit_bits)
+                for g in chain((checked,), games)
+            ]
+            iv = tables[0] if checked is v else iv
+            for subject, lhs, rhs in equations(*tables):
+                report.record(scaled_tol, ts, subject, lhs, rhs)
+            del tables[1:]  # the partners' tables are not held through the re-check
+            _check_closed_form(report, rng, checked, tables[0], scaled_tol, limit_bits)
     return reports
 
 
@@ -229,76 +229,70 @@ def _check_closed_form(report, rng, v, iv, tol, bits):
         report.passed = False
 
 
-def _check_linearity(report, rng, ts, v, tol, base_table, bits):
+# A builder (rng, v, bits) -> (games, equations) draws from rng and lists the games
+# to index, the re-checked one first; equations(*tables) yields (subject, lhs, rhs).
+
+
+def _linearity(rng, v, bits):
     w = random_game(int(rng.integers(0, 2**31)), v.n, v.k, "general", bits)
     alpha = float(rng.uniform(-2.0, 2.0))
-    combo = add_games(v, w, alpha)
-    iv, iw, icombo = base_table(), _indexed(w, bits), _indexed(combo, bits)
-    for T in iv:
-        report.record(tol, ts, T, icombo[T], iv[T] + alpha * iw[T])
-    return v, iv
+    return (v, w, add_games(v, w, alpha)), lambda iv, iw, icombo: (
+        (T, icombo[T], iv[T] + alpha * iw[T]) for T in iv
+    )
 
 
-def _check_null(report, rng, ts, v, tol, base_table, bits):
+def _null(rng, v, bits):
     position = int(rng.integers(1, v.n + 2))
-    ext = make_null_extension(v, position, bits)
-    iext = _indexed(ext, bits)
-    for T in iext:
-        if position in T:
-            report.record(tol, ts, T, iext[T], 0.0)
-    return ext, iext
+    return (make_null_extension(v, position, bits),), lambda iext: (
+        (T, iext[T], 0.0) for T in iext if position in T
+    )
 
 
-def _check_invariance(report, rng, ts, v, tol, base_table, bits):
+def _invariance(rng, v, bits):
     i = int(rng.integers(1, v.n + 1))
-    w = make_invariance_partner(v, i)
-    iv, iw = base_table(), _indexed(w, bits)
-    for T in iv:
-        if i in T:
-            report.record(tol, ts, T, iv[T], iw[T])
-    return v, iv
+    return (v, make_invariance_partner(v, i)), lambda iv, iw: (
+        (T, iv[T], iw[T]) for T in iv if i in T
+    )
 
 
-def _check_symmetry(report, rng, ts, v, tol, base_table, bits):
+def _symmetry(rng, v, bits):
     sigma = tuple(int(s) + 1 for s in rng.permutation(v.n))
-    relabeled = permute_attributes(v, sigma)
-    iv, irelabeled = base_table(), _indexed(relabeled, bits)
-    for T in iv:
-        report.record(tol, ts, T, irelabeled[tuple(sorted(sigma[i - 1] for i in T))], iv[T])
-    return v, iv
+    return (v, permute_attributes(v, sigma)), lambda iv, irelabeled: (
+        (T, irelabeled[tuple(sorted(sigma[i - 1] for i in T))], iv[T]) for T in iv
+    )
 
 
-def _check_efficiency(report, rng, ts, v, tol, base_table, bits):
-    iv = base_table()
-    lhs = math.fsum(iv[(i,)] for i in range(1, v.n + 1))
-    report.record(tol, ts, ("total",), lhs, efficiency_rhs(v))
-    return v, iv
+def _efficiency(rng, v, bits):
+    return (v,), lambda iv: [
+        (("total",), math.fsum(iv[(i,)] for i in range(1, v.n + 1)), efficiency_rhs(v))
+    ]
 
 
-def _check_recursion(report, rng, ts, v, tol, base_table, bits):
-    iv = base_table()
-    parts = {
-        i: (_indexed(restrict_present_top(v, i), bits), _indexed(restrict_absent(v, (i,)), bits))
-        for i in range(1, v.n + 1)
-    }
-    for T in iv:
-        if len(T) < 2:
-            continue
-        lhs = iv[T]
-        for i in T:
-            rest = _drop_and_renumber(T, i)
-            top, absent = parts[i]
-            report.record(tol, ts, T + ("drop", i), lhs, top[rest] - absent[rest])
-    return v, iv
+def _recursion(rng, v, bits):
+    def restricted():  # each built when the driver reaches it
+        for i in range(1, v.n + 1):
+            yield restrict_present_top(v, i)
+            yield restrict_absent(v, (i,))
+
+    def equations(iv, *parts):
+        tops, absents = parts[0::2], parts[1::2]
+        for T in iv:
+            if len(T) < 2:
+                continue
+            for i in T:  # rest: T without i, renumbered for the game without i
+                rest = tuple(j - 1 if j > i else j for j in T if j != i)
+                yield T + ("drop", i), iv[T], tops[i - 1][rest] - absents[i - 1][rest]
+
+    return chain((v,), restricted()), equations
 
 
-_CHECKERS = {
-    "L": _check_linearity,
-    "N": _check_null,
-    "I": _check_invariance,
-    "S": _check_symmetry,
-    "E": _check_efficiency,
-    "R": _check_recursion,
+_BUILDERS = {
+    "L": _linearity,
+    "N": _null,
+    "I": _invariance,
+    "S": _symmetry,
+    "E": _efficiency,
+    "R": _recursion,
 }
 
 

@@ -250,8 +250,8 @@ class TestVerify:
         argv = [min2_path if a == "GAME" else a for a in argv]
         for tol, refusal in [("nan", "is not a number"), ("inf", "is not finite"),
                              ("-inf", "is not finite")]:
-            code, out, err = run(capsys, *argv, f"--tol={tol}")
-            assert code == 1 and out == "" and f"tolerance {tol} {refusal}" in err
+            code, out, err = usage_error(capsys, *argv, f"--tol={tol}")
+            assert code == 2 and out == "" and f"tolerance {tol} {refusal}" in err
 
     def test_unknown_axiom(self, capsys):
         code, out, err = usage_error(capsys, "verify", "--axioms", "Q")

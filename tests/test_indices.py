@@ -576,6 +576,25 @@ class TestReport:
         with pytest.raises(SizeLimitError):
             interaction_by_method(v, (1, 2), method, 4)
 
+    def test_refusals_come_before_the_coalition_layout(self, monkeypatch):
+        # an unknown method and the one-pass routes' guards refuse before the
+        # coalitions are listed, which costs time and memory at large n
+        class Listed(Exception):
+            pass
+
+        def listed(n, m):
+            raise Listed
+
+        monkeypatch.setattr("karycap.indices._layout", listed)
+        v = random_game(5, 4, 3, "general")
+        with pytest.raises(ValueError, match="method must be one of"):
+            interaction_all_upto(v, 4, "fancy")
+        for method in ("closed_form", "cellsum"):
+            with pytest.raises(SizeLimitError):
+                interaction_all_upto(v, 4, method, 4)
+            with pytest.raises(Listed):
+                interaction_all_upto(v, 4, method)
+
     def test_cellsum_report_matches_single_queries_bitwise(self):
         for seed, (n, k) in enumerate([(1, 2), (2, 1), (3, 2), (4, 3)]):
             v = random_game(seed + 73, n, k, "general")

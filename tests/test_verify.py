@@ -374,6 +374,23 @@ class TestVerifyAxioms:
         assert len(games) == (1 if given else 2) * trials
         assert passes == [20] * ((6 + 2 * n) * trials)
 
+    def test_the_base_game_is_re_checked_except_under_N(self, monkeypatch):
+        # the re-check reads the first game a check lists: v, or N's extension
+        g = random_game(11, 4, 3)
+        for axiom in AXIOMS:
+            seen = []
+            for name in ("importance", "interaction"):
+                served = getattr(verify_module, name)
+                monkeypatch.setattr(verify_module, name,
+                                    lambda v, T, bits=None, f=served: seen.append(v) or f(v, T, bits))
+            assert verify_axiom(axiom, 2, 3, 4, 3, game=g).passed
+            assert len(seen) == 4
+            if axiom == "N":
+                assert all(v is not g and (v.n, v.k) == (5, 3) for v in seen)
+            else:
+                assert all(v is g for v in seen)
+            monkeypatch.undo()
+
     def test_every_axiom_is_checked_before_the_first_game(self, monkeypatch):
         built = []
         monkeypatch.setattr(verify_module, "random_game", lambda *args: built.append(args))
