@@ -51,7 +51,7 @@ import functools
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -138,14 +138,19 @@ def _mask(T: Iterable[int]) -> int:
 
 
 # layouts of at most 4,096 coalitions are cached (every layout with n <= 12),
-# so the 16 cached layouts stay under 8 MiB
+# so the 16 cached layouts stay under 8 MiB; only the pass reads them
 _CACHED_LAYOUT_N = 12
+
+
+def _coalitions(n: int, m: int) -> Iterator[Coalition]:
+    """Coalitions of order 1..m in served order: by order, then lexicographically."""
+    return (T for size in range(1, m + 1) for T in combinations(range(1, n + 1), size))
 
 
 @functools.lru_cache(maxsize=16)
 def _layout(n: int, m: int) -> tuple[tuple[Coalition, ...], np.ndarray]:
-    """Coalitions of order 1..m in served order, and their :func:`_mask` positions."""
-    coalitions = tuple(T for size in range(1, m + 1) for T in combinations(range(1, n + 1), size))
+    """:func:`_coalitions` of order 1..m, and their :func:`_mask` positions."""
+    coalitions = tuple(_coalitions(n, m))
     masks = np.array([_mask(T) for T in coalitions], dtype=np.intp)
     masks.flags.writeable = False  # shared by every caller
     return coalitions, masks
@@ -272,28 +277,19 @@ def lattice_point_interaction(v: MultichoiceGame, x: Sequence[int]) -> float:
     return _combine_classes(deltas)
 
 
-def _route(method: str):
-    """The function that computes one coalition's interaction by ``method``.
-
-    Looked up by its module-level name when called, so a rebinding of that
-    name (a wrapper, say) is honoured.
-    """
-    compute = {
+def interaction_by_method(
+    v: MultichoiceGame, T: Iterable[int], method: str, limit_bits: int | None = None
+) -> float:
+    """Interaction of T by one of :data:`METHODS`, each route looked up by
+    its module-level name per call, so that a wrapper bound to it is honoured."""
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    return {
         "closed_form": interaction,
         "derivative_sum": interaction_via_derivatives,
         "recursive": interaction_recursive,
         "cellsum": interaction_cellsum,
-    }.get(method)
-    if compute is None:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    return compute
-
-
-def interaction_by_method(
-    v: MultichoiceGame, T: Iterable[int], method: str, limit_bits: int | None = None
-) -> float:
-    """Interaction of T computed by one of :data:`METHODS`."""
-    return _route(method)(v, T, limit_bits)
+    }[method](v, T, limit_bits)
 
 
 def interaction_all_upto(
@@ -308,23 +304,22 @@ def interaction_all_upto(
     the singleton rows ``(i,)`` double as the importance vector.
     ``method`` is one of closed_form, derivative_sum, recursive, cellsum;
     closed_form reads every coalition from one :func:`_index_array` pass,
-    and cellsum sums the cells' capacities once and indexes every
-    coalition in that one k = 1 game, as :func:`interaction_cellsum` does
-    for one.  The method and those two routes' size guards are checked
-    before the coalitions are listed.
+    and cellsum indexes every coalition in the one k = 1 game of summed
+    cell capacities, counting (k^n + C) * 2^n lookups for C coalitions.
+    Both guard before any coalition is listed; the other routes, and an
+    unknown method, are refused at the first coalition whose query fails.
     """
     m = _integer(m, "max order")
-    if not 1 <= m <= v.n:
-        raise ValueError(f"max order {m} outside 1..{v.n}")
-    compute = _route(method)  # an unknown method is refused before any work
+    n = v.n
+    if not 1 <= m <= n:
+        raise ValueError(f"max order {m} outside 1..{n}")
     if method == "closed_form":
         index = _index_array(v, limit_bits)
-    elif method == "cellsum":
-        total = _summed_capacity(v, limit_bits)
-    build = _layout if v.n <= _CACHED_LAYOUT_N else _layout.__wrapped__
-    coalitions, masks = build(v.n, m)
-    if method == "closed_form":
+        coalitions, masks = (_layout if n <= _CACHED_LAYOUT_N else _layout.__wrapped__)(n, m)
         return dict(zip(coalitions, index[masks].tolist()))
     if method == "cellsum":
-        return {T: classical_interaction(total, T) for T in coalitions}
-    return {T: compute(v, T, limit_bits) for T in coalitions}
+        served = sum(math.comb(n, t) for t in range(1, m + 1))
+        check_query_size((v.k**n + served) * 2**n, limit_bits)
+        total = _summed_capacity(v, limit_bits)
+        return {T: classical_interaction(total, T) for T in _coalitions(n, m)}
+    return {T: interaction_by_method(v, T, method, limit_bits) for T in _coalitions(n, m)}

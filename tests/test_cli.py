@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from karycap import indices, random_game, save_game
+from karycap import indices, min_game, random_game, save_game
 from karycap.cli import main
 
 
@@ -157,6 +157,23 @@ class TestInteraction:
     def test_order_out_of_range_exits_1(self, capsys, min2_path):
         code, out, err = run(capsys, "interaction", min2_path, "--order", "3")
         assert code == 1 and out == "" and "max order 3 outside 1..2" in err
+
+    def test_every_order_route_honours_the_limit(self, capsys, tmp_path):
+        # at 4 bits the 64-entry table of min_game(3, 3) is refused as it
+        # loads; the 8-entry min_game(3, 1) loads at 3 bits and is refused
+        # by the one-pass routes' guards, and min_game(3, 3) at 6 bits by
+        # derivative_sum's guard on its first coalition
+        for game, bits, methods in [(min_game(3, 3), 4, indices.METHODS),
+                                    (min_game(3, 1), 3, ("closed_form", "cellsum")),
+                                    (min_game(3, 3), 6, ("derivative_sum",))]:
+            path = str(tmp_path / "g.json")
+            save_game(game, path)
+            for method in methods:
+                code, out, err = run(capsys, "interaction", path, "--order", "3",
+                                     "--method", method, "--limit", str(bits))
+                assert code == 1 and out == "", (method, bits)
+                assert err.startswith("error: ") and err.count("\n") == 1
+                assert f"beyond the {bits}-bit limit" in err
 
     def test_singleton_matches_importance(self, capsys, min2_path):
         code, out, _ = run(capsys, "interaction", min2_path, "--set", "1")

@@ -25,6 +25,7 @@ from karycap import (
     random_game,
     save_game,
 )
+from karycap import indices
 from karycap.cli import main
 from karycap.game import add_games
 from karycap.indices import (
@@ -447,7 +448,8 @@ class TestIndexArray:
 
     @pytest.mark.parametrize("method", ["closed_form", "derivative_sum"])
     def test_only_small_layouts_are_cached(self, method):
-        # every route reads the one coalition layout; n = 13 is built per call
+        # every route serves the layout order; only the pass reads the layout,
+        # and n = 13 is built per call
         _layout.cache_clear()
         for n, m in [(5, 3), (5, 3), (13, 1)]:
             v = random_game(n, n, 1, "general")
@@ -457,10 +459,11 @@ class TestIndexArray:
             if method == "closed_form":
                 every = _index_array(v)
                 assert list(served.values()) == [float(every[_mask(T)]) for T in coalitions]
-        assert _layout.cache_info()[:2] == (1, 1)  # (hits, misses): (5, 3) only
-        assert _layout.cache_info().currsize == 1
-        for _, masks in (_layout(5, 3), _layout.__wrapped__(13, 1)):
-            assert not masks.flags.writeable
+        if method == "closed_form":
+            assert _layout.cache_info()[:2] == (1, 1)  # (hits, misses): (5, 3) only
+            assert _layout.cache_info().currsize == 1
+            for _, masks in (_layout(5, 3), _layout.__wrapped__(13, 1)):
+                assert not masks.flags.writeable
 
 
 class TestClassIds:
@@ -577,23 +580,44 @@ class TestReport:
             interaction_by_method(v, (1, 2), method, 4)
 
     def test_refusals_come_before_the_coalition_layout(self, monkeypatch):
-        # an unknown method and the one-pass routes' guards refuse before the
-        # coalitions are listed, which costs time and memory at large n
-        class Listed(Exception):
-            pass
+        # no route lists coalitions it will not index, which costs time and
+        # memory at large n: the one-pass routes guard before the listing, and
+        # the per-coalition routes (and an unknown method) stop at the first
+        listed = indices._coalitions
+        drawn = []
 
-        def listed(n, m):
-            raise Listed
+        def counted(n, m):
+            for T in listed(n, m):
+                drawn.append(T)
+                yield T
 
-        monkeypatch.setattr("karycap.indices._layout", listed)
+        monkeypatch.setattr(indices, "_coalitions", counted)
         v = random_game(5, 4, 3, "general")
-        with pytest.raises(ValueError, match="method must be one of"):
-            interaction_all_upto(v, 4, "fancy")
-        for method in ("closed_form", "cellsum"):
+        refusals = [("closed_form", 0), ("cellsum", 0), ("derivative_sum", 1), ("recursive", 1)]
+        for method, most in refusals:
+            drawn.clear()
             with pytest.raises(SizeLimitError):
                 interaction_all_upto(v, 4, method, 4)
-            with pytest.raises(Listed):
-                interaction_all_upto(v, 4, method)
+            assert len(drawn) <= most, method
+        drawn.clear()
+        with pytest.raises(ValueError, match="method must be one of"):
+            interaction_all_upto(v, 4, "fancy")
+        assert len(drawn) <= 1
+        for method in METHODS:
+            drawn.clear()
+            _layout.cache_clear()
+            assert list(interaction_all_upto(v, 4, method)) == drawn == list(listed(4, 4))
+
+    def test_cellsum_report_counts_every_coalition(self, monkeypatch):
+        # (k^n + C) * 2^n lookups: the summed capacity and one classical
+        # index per coalition, counted before the capacity is summed
+        def summed(v, limit_bits):
+            raise AssertionError("summed before the guard")
+
+        monkeypatch.setattr(indices, "_summed_capacity", summed)
+        v = random_game(0, 11, 1)
+        with pytest.raises(SizeLimitError, match="needs 4194304 table lookups.*12-bit limit"):
+            interaction_all_upto(v, 11, "cellsum", 12)
 
     def test_cellsum_report_matches_single_queries_bitwise(self):
         for seed, (n, k) in enumerate([(1, 2), (2, 1), (3, 2), (4, 3)]):
@@ -606,8 +630,11 @@ class TestReport:
             interaction_all_upto(m2, 0)
         with pytest.raises(ValueError):
             interaction_all_upto(m2, 3)
-        with pytest.raises(ValueError):
-            interaction_all_upto(m2, 2, "fancy")
+        for method in ("fancy", ["closed_form"], {"m": 1}):  # unhashable ones too
+            with pytest.raises(ValueError, match="method must be one of"):
+                interaction_all_upto(m2, 2, method)
+        with pytest.raises(ValueError, match="method must be one of"):
+            interaction_by_method(m2, (1,), ["closed_form"])
         for m in (True, 1.0):  # neither may stand for order 1
             with pytest.raises(ValueError, match="not an integer"):
                 interaction_all_upto(m2, m)
