@@ -13,10 +13,10 @@ a single attribute (top-minus-bottom differences).
 
 Every index reads the table through ``v.grid()``: a basic slice of the
 grid (levels 0 and k on the axes of T, say) followed by ``np.diff`` along
-each axis of T.  To keep results reproducible and well conditioned, the
-resulting terms are grouped by (s, kap) class and summed per class in
-canonical table order (attribute 1 fastest); each rational coefficient is
-rounded to a double once per class table, one table per shape of terms.
+each axis of T.  Each resulting term is weighted by the coefficient of its
+(s, kap) class, rounded to a double once per class and cached per shape of
+terms, and all the weighted terms are added in one ``math.fsum``, which
+rounds their total once whatever their order.
 
 Two independently computable forms are provided as cross-checks: a sum
 of discrete derivatives over all unit cells, and an expansion through
@@ -86,44 +86,46 @@ def shapley_coefficient(n: int, t: int, s: int, kap: int) -> Fraction:
 
 
 def _combine_classes(terms: np.ndarray) -> float:
-    """Per-(s, kap)-class totals of ``terms``, each scaled by its coefficient.
+    """Sum of ``terms``, each weighted by its (s, kap) class, in one ``math.fsum``.
 
     Axes of length 1 are those of T, and every other axis indexes a level
     of {0..k}: n is ``terms.ndim`` and t the number of length-1 axes, which
-    leave the F-order ravel alone and so are dropped from the table's key.
+    leave the F-order ravel alone and so are dropped from the weights' key.
     """
     shape = tuple(d for d in terms.shape if d > 1)
-    build = _classes if math.prod(shape) <= _CACHED_CLASS_IDS else _classes.__wrapped__
-    ids, coefficients = build(shape, terms.ndim)
-    sums = np.bincount(ids, weights=terms.ravel(order="F"), minlength=coefficients.size)
-    present = np.flatnonzero(sums)
-    return math.fsum(coefficients[present] * sums[present])
+    build = _classes if math.prod(shape) <= _CACHED_WEIGHTS else _classes.__wrapped__
+    return math.fsum((build(shape, terms.ndim) * terms.ravel(order="F")).tolist())
 
 
-# 128 KiB of int64 ids per cached shape, so the 32 cached shapes stay under 4 MiB
-_CACHED_CLASS_IDS = 2**14
+# 128 KiB of weights per cached shape, so the 32 cached shapes stay under 4 MiB
+_CACHED_WEIGHTS = 2**14
 
 
 @functools.lru_cache(maxsize=32)
-def _classes(shape: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(s, kap) class ids of an array of ``shape`` in F order, and the class
-    coefficients by id, each rounded once; ``shape`` holds the axes outside T.
-    """
+def _classes(shape: tuple[int, ...], n: int) -> np.ndarray:
+    """Weight of each entry of an array of ``shape`` (the axes outside T) in
+    F order: the coefficient of its (s, kap) class, rounded once per class."""
     levels = np.indices(shape)  # s counts the levels above 0, kap those at k
     s_arr = np.count_nonzero(levels > 0, axis=0)
     kap_arr = np.count_nonzero(levels == max(shape, default=1) - 1, axis=0)
-    ids = np.ravel(s_arr * (n + 1) + kap_arr, order="F")
-    coefficients = np.zeros((n + 1) ** 2)
+    coefficients = np.zeros((len(shape) + 1,) * 2)
     for s in range(len(shape) + 1):
         for kap in range(s + 1):
-            coefficients[s * (n + 1) + kap] = shapley_coefficient(n, n - len(shape), s, kap)
-    ids.flags.writeable = coefficients.flags.writeable = False  # shared by every caller
-    return ids, coefficients
+            coefficients[s, kap] = shapley_coefficient(n, n - len(shape), s, kap)
+    weights = np.ravel(coefficients[s_arr, kap_arr], order="F")
+    weights.flags.writeable = False  # shared by every caller
+    return weights
+
+
+def _lookups(method: str, n: int, k: int, t: int) -> int:
+    """Table lookups of one order-t query: its reads on T per profile of the rest."""
+    on_T = {"closed_form": 2**t, "derivative_sum": (2 * k) ** t, "recursive": 2 * (2**t - 1)}
+    return (k + 1) ** (n - t) * on_T[method]
 
 
 def _closed_form(v: MultichoiceGame, members: Coalition, limit_bits: int | None) -> float:
     n, k, t = v.n, v.k, len(members)
-    check_query_size((k + 1) ** (n - t) * 2**t, limit_bits)
+    check_query_size(_lookups("closed_form", n, k, t), limit_bits)
     # T at levels 0 and k, every other attribute at each of its levels
     ends = tuple(slice(0, k + 1, k) if i in members else slice(None) for i in range(1, n + 1))
     terms = v.grid()[ends]
@@ -220,7 +222,7 @@ def interaction_via_derivatives(
     """
     members = nonempty_members(T, v.n)
     n, k, t = v.n, v.k, len(members)
-    check_query_size((k + 1) ** (n - t) * k**t * 2**t, limit_bits)
+    check_query_size(_lookups("derivative_sum", n, k, t), limit_bits)
     deltas = v.grid()  # after the differences: one entry per unit cell of the T-block
     for i in members:
         deltas = np.diff(deltas, axis=i - 1)
@@ -236,10 +238,12 @@ def interaction_recursive(
     Expands I(T) as the signed sum, over nonempty A within T, of the
     importance of the macro attribute in the game where A moves in
     lockstep and T without A is frozen at level 0.  Singleton base case
-    is the importance index itself.
+    is the importance index itself.  The guard counts the importance
+    queries of all 2^t - 1 reduced games before the first is built.
     """
     members = nonempty_members(T, v.n)
     t = len(members)
+    check_query_size(_lookups("recursive", v.n, v.k, t), limit_bits)
     if t == 1:
         return importance(v, members[0], limit_bits)
     terms = []
@@ -305,9 +309,9 @@ def interaction_all_upto(
     ``method`` is one of closed_form, derivative_sum, recursive, cellsum;
     closed_form reads every coalition from one :func:`_index_array` pass,
     and cellsum indexes every coalition in the one k = 1 game of summed
-    cell capacities, counting (k^n + C) * 2^n lookups for C coalitions.
-    Both guard before any coalition is listed; the other routes, and an
-    unknown method, are refused at the first coalition whose query fails.
+    cell capacities, counting (k^n + C) * 2^n lookups for C coalitions;
+    the others count every coalition's query.  All guard before listing
+    any coalition; an unknown method is refused at the first coalition.
     """
     m = _integer(m, "max order")
     n = v.n
@@ -322,4 +326,7 @@ def interaction_all_upto(
         check_query_size((v.k**n + served) * 2**n, limit_bits)
         total = _summed_capacity(v, limit_bits)
         return {T: classical_interaction(total, T) for T in _coalitions(n, m)}
+    if method in ("derivative_sum", "recursive"):
+        report = sum(math.comb(n, t) * _lookups(method, n, v.k, t) for t in range(1, m + 1))
+        check_query_size(report, limit_bits)
     return {T: interaction_by_method(v, T, method, limit_bits) for T in _coalitions(n, m)}

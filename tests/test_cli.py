@@ -160,18 +160,23 @@ class TestInteraction:
 
     def test_every_order_route_honours_the_limit(self, capsys, tmp_path):
         # at 4 bits the 64-entry table of min_game(3, 3) is refused as it
-        # loads; the 8-entry min_game(3, 1) loads at 3 bits and is refused
-        # by the one-pass routes' guards, and min_game(3, 3) at 6 bits by
-        # derivative_sum's guard on its first coalition
-        for game, bits, methods in [(min_game(3, 3), 4, indices.METHODS),
-                                    (min_game(3, 1), 3, ("closed_form", "cellsum")),
-                                    (min_game(3, 3), 6, ("derivative_sum",))]:
+        # loads; the 16-entry min_game(4, 1) loads at 4 bits and every route's
+        # own guard refuses its whole report, or the 2^4 - 1 reduced games of
+        # a recursive query; so do the one-pass routes' guards on the 8-entry
+        # min_game(3, 1) at 3 bits, and derivative_sum's on min_game(3, 3)
+        for game, bits, methods, query in [
+            (min_game(3, 3), 4, indices.METHODS, ["--order", "3"]),
+            (min_game(4, 1), 4, indices.METHODS, ["--order", "4"]),
+            (min_game(4, 1), 4, ("recursive",), ["--set", "1,2,3,4"]),
+            (min_game(3, 1), 3, ("closed_form", "cellsum"), ["--order", "3"]),
+            (min_game(3, 3), 6, ("derivative_sum",), ["--order", "3"]),
+        ]:
             path = str(tmp_path / "g.json")
             save_game(game, path)
             for method in methods:
-                code, out, err = run(capsys, "interaction", path, "--order", "3",
+                code, out, err = run(capsys, "interaction", path, *query,
                                      "--method", method, "--limit", str(bits))
-                assert code == 1 and out == "", (method, bits)
+                assert code == 1 and out == "", (method, bits, query)
                 assert err.startswith("error: ") and err.count("\n") == 1
                 assert f"beyond the {bits}-bit limit" in err
 

@@ -424,6 +424,15 @@ class TestRoutesAgree:
             for T in combinations(range(1, n + 1), t):
                 assert_close(float(every[_mask(T)]), interaction(v, T), bound)
 
+    def test_reference_is_no_less_accurate_than_the_pass(self):
+        # 5**6 terms: summed class by class in plain order, they put the
+        # reference 3.3e-4 off the exact index, where the pass is 1.6e-7 off
+        v = random_game(287, 7, 4, "additive")
+        v = MultichoiceGame(v.n, v.k, v.values * 1e6)
+        want = exact_interaction(v, (5,))
+        served = float(_index_array(v)[_mask((5,))])
+        assert abs(Fraction(interaction(v, (5,))) - want) <= abs(Fraction(served) - want)
+
 
 class TestIndexArray:
     def test_min_games_match_the_closed_form_bitwise(self):
@@ -471,23 +480,25 @@ class TestClassIds:
         _classes.cache_clear()
         _combine_classes(np.ones((4, 1, 4)))
         assert _classes.cache_info().currsize == 1
-        ids, coefficients = _classes((4, 4), 3)  # length-1 axes leave the key alone
+        weights = _classes((4, 4), 3)  # length-1 axes leave the key alone
         assert _classes.cache_info().hits == 1
-        _combine_classes(np.ones((4,) * 8 + (1,)))  # 2**16 ids: built for the caller only
+        _combine_classes(np.ones((4,) * 8 + (1,)))  # 2**16 weights: built for the caller only
         assert _classes.cache_info().currsize == 1
-        big, big_coefficients = _classes.__wrapped__((4,) * 8, 9)
-        for array in (ids, coefficients, big, big_coefficients):
+        big = _classes.__wrapped__((4,) * 8, 9)
+        assert weights.shape == (4**2,) and big.shape == (4**8,)
+        for array in (weights, big):
             assert not array.flags.writeable
-        levels = np.indices((4,) * 8).reshape(8, -1, order="F")
-        want = (levels > 0).sum(axis=0) * 10 + (levels == 3).sum(axis=0)
-        assert np.array_equal(big, want)
 
     @pytest.mark.parametrize("shape, n", [((4, 4), 3), ((2, 2, 2), 5), ((), 2), ((4,) * 8, 9)])
     def test_coefficient_row_rounds_each_class_once(self, shape, n):
-        ids, coefficients = _classes.__wrapped__(shape, n)
-        for c in np.unique(ids):
-            s, kap = divmod(int(c), n + 1)
-            assert coefficients[c] == float(shapley_coefficient(n, n - len(shape), s, kap))
+        # each entry, in F order, weighs the coefficient of its (s, kap) class
+        weights = _classes.__wrapped__(shape, n)
+        levels = np.indices(shape).reshape(len(shape), math.prod(shape), order="F")
+        top = max(shape, default=1) - 1
+        classes = list(zip((levels > 0).sum(axis=0).tolist(),
+                           (levels == top).sum(axis=0).tolist()))
+        coefficient = {c: float(shapley_coefficient(n, n - len(shape), *c)) for c in set(classes)}
+        assert weights.tolist() == [coefficient[c] for c in classes]
 
     def test_cached_shape_converts_no_fraction(self, monkeypatch):
         calls = []
@@ -581,8 +592,8 @@ class TestReport:
 
     def test_refusals_come_before_the_coalition_layout(self, monkeypatch):
         # no route lists coalitions it will not index, which costs time and
-        # memory at large n: the one-pass routes guard before the listing, and
-        # the per-coalition routes (and an unknown method) stop at the first
+        # memory at large n: every route guards before the listing, and an
+        # unknown method stops at the first coalition
         listed = indices._coalitions
         drawn = []
 
@@ -593,12 +604,11 @@ class TestReport:
 
         monkeypatch.setattr(indices, "_coalitions", counted)
         v = random_game(5, 4, 3, "general")
-        refusals = [("closed_form", 0), ("cellsum", 0), ("derivative_sum", 1), ("recursive", 1)]
-        for method, most in refusals:
+        for method in METHODS:
             drawn.clear()
             with pytest.raises(SizeLimitError):
                 interaction_all_upto(v, 4, method, 4)
-            assert len(drawn) <= most, method
+            assert drawn == [], method
         drawn.clear()
         with pytest.raises(ValueError, match="method must be one of"):
             interaction_all_upto(v, 4, "fancy")
@@ -607,6 +617,31 @@ class TestReport:
             drawn.clear()
             _layout.cache_clear()
             assert list(interaction_all_upto(v, 4, method)) == drawn == list(listed(4, 4))
+
+    @pytest.mark.parametrize("method, count", [("derivative_sum", 4992), ("recursive", 1088)])
+    def test_per_coalition_reports_are_counted_whole(self, method, count):
+        # sum over t of C(n, t) queries of (k+1)^(n-t) (2k)^t lookups, or
+        # (k+1)^(n-t) 2 (2^t - 1) for the 2^t - 1 reduced games of recursive
+        v = random_game(6, 4, 3, "general")
+        bits = count.bit_length()
+        with pytest.raises(SizeLimitError, match=f"needs {count} table lookups.*{bits - 1}-bit"):
+            interaction_all_upto(v, 2, method, bits - 1)
+        assert len(interaction_all_upto(v, 2, method, bits)) == 10
+
+    def test_wide_refusals_list_and_build_nothing(self, monkeypatch):
+        # the whole report, and a recursive query's reduced games, are
+        # counted before any coalition is listed or any game is reduced
+        def built(*args):
+            raise AssertionError("listed or built before the guard")
+
+        monkeypatch.setattr(indices, "_coalitions", built)
+        monkeypatch.setattr(indices, "reduce_group", built)
+        for v, method, count in [(random_game(0, 10, 1), "recursive", 1979054),
+                                 (random_game(0, 12, 1), "derivative_sum", 16773120)]:
+            with pytest.raises(SizeLimitError, match=f"needs {count} table lookups.*20-bit"):
+                interaction_all_upto(v, v.n, method, 20)
+        with pytest.raises(SizeLimitError, match="needs 32766 table lookups.*14-bit"):
+            interaction_recursive(random_game(0, 14, 1), range(1, 15), limit_bits=14)
 
     def test_cellsum_report_counts_every_coalition(self, monkeypatch):
         # (k^n + C) * 2^n lookups: the summed capacity and one classical
