@@ -16,8 +16,10 @@ implemented here as independent numerical checks, on top of the classical
 (k = 1) interaction index.  One reader gives a cell's corner values by
 coalition mask, from ``v.grid()`` or from that grid differenced along T,
 and one kernel extends a cell: its base value plus the Choquet integral
-of its increments.  The summed capacity of all cells is a difference of
-two shifted boxes of the grid per coalition.
+of its increments.  The Monte-Carlo check reads each cell's corners as
+its base's flat index plus the corner offsets of the cell based at 0.
+The summed capacity of all cells is a difference of two shifted boxes of
+the grid per coalition.
 """
 
 from __future__ import annotations
@@ -28,15 +30,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .game import (
-    MultichoiceGame,
-    _integer,
-    _profile,
-    _seed,
-    check_query_size,
-    nonempty_members,
-    profiles,
-)
+from .game import MultichoiceGame, _integer, _profile, _seed, check_query_size, nonempty_members
 
 
 def _corners(grid: np.ndarray, q: Sequence[int], T: Sequence[int] = ()) -> np.ndarray:
@@ -54,9 +48,12 @@ def _extend(corners: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Extension of a cell at each row of offsets U (values in [0, 1]).
 
     The base value plus the Choquet integral of the increments, the cell's
-    section capacity.
+    section capacity.  ``corners`` is the caller's own copy: it is turned
+    into the increments in place.
     """
-    return corners[0] + _choquet_batch(corners - corners[0], U)
+    low = corners[0]
+    corners -= low
+    return low + _choquet_batch(corners, U)
 
 
 def section_capacity(v: MultichoiceGame, q: Sequence[int]) -> MultichoiceGame:
@@ -71,15 +68,17 @@ def _choquet_batch(mu: np.ndarray, W: np.ndarray) -> np.ndarray:
     Rows are sorted ascending with ties broken by attribute index; the
     value itself does not depend on the tie order.
     """
+    rows, m = W.shape
     order = np.argsort(W, axis=1, kind="stable")
-    ranked = np.take_along_axis(W, order, axis=1)
-    prev = np.concatenate([np.zeros((W.shape[0], 1)), ranked[:, :-1]], axis=1)
-    diffs = ranked - prev
-    out = np.zeros(W.shape[0])
-    mask = np.zeros(W.shape[0], dtype=np.int64)
-    for col in range(W.shape[1] - 1, -1, -1):
-        mask = mask | (np.int64(1) << order[:, col])
-        out += diffs[:, col] * mu[mask]
+    # the ranked values and their attribute bits, one column per rank
+    ranked = W.ravel().take(order + np.arange(rows)[:, None] * m).T
+    bits = (1 << order).T
+    out = np.zeros(rows)
+    mask = 0
+    for col in range(m - 1, -1, -1):
+        mask = mask | bits[col]
+        diff = ranked[col] - ranked[col - 1] if col else ranked[0]
+        out += diff * mu.take(mask)
     return out
 
 
@@ -93,7 +92,7 @@ def choquet_capacity(mu: MultichoiceGame, w: Sequence[float]) -> float:
 def _eval_in_cell(v: MultichoiceGame, q: Sequence[int], z: np.ndarray) -> float:
     """Extension value at z computed through the cell based at q."""
     offs = z - np.asarray(q, dtype=np.float64)
-    return float(_extend(_corners(v.grid(), q), offs[None, :])[0])
+    return float(_extend(_corners(v.grid(), q).copy(), offs[None, :])[0])
 
 
 def choquet_kary(v: MultichoiceGame, z: Sequence[float]) -> float:
@@ -112,11 +111,14 @@ def choquet_kary(v: MultichoiceGame, z: Sequence[float]) -> float:
     return _eval_in_cell(v, q, arr)
 
 
-def classical_interaction(v: MultichoiceGame, S: Iterable[int]) -> float:
-    """Interaction index of coalition S in a two-level (k = 1) game."""
+def classical_interaction(
+    v: MultichoiceGame, S: Iterable[int], limit_bits: int | None = None
+) -> float:
+    """Interaction index of coalition S in a two-level (k = 1) game; 2**n lookups."""
     if v.k != 1:
         raise ValueError(f"defined for k = 1 games only, got k = {v.k}")
     members = nonempty_members(S, v.n)
+    check_query_size(2**v.n, limit_bits)
     n, s = v.n, len(members)
     others = [p for p in range(n) if p + 1 not in set(members)]
     inner_masks = [
@@ -146,7 +148,7 @@ def interaction_cellsum(
     independent oracle for it.
     """
     members = nonempty_members(T, v.n)
-    return classical_interaction(_summed_capacity(v, limit_bits), members)
+    return classical_interaction(_summed_capacity(v, limit_bits), members, limit_bits)
 
 
 def _summed_capacity(v: MultichoiceGame, limit_bits: int | None) -> MultichoiceGame:
@@ -162,6 +164,15 @@ def _summed_capacity(v: MultichoiceGame, limit_bits: int | None) -> MultichoiceG
         for m in range(2**n)
     ]
     return MultichoiceGame(n, 1, total)
+
+
+def _box_index(grid: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """Indices into ``grid.ravel(order="K")``, for a contiguous grid, of
+    the points of the box [0, dims), in F order (table order)."""
+    index = np.zeros(1, dtype=np.intp)
+    for d, stride in zip(dims, grid.strides):
+        index = (np.arange(d)[:, None] * (stride // grid.itemsize) + index).ravel()
+    return index
 
 
 class IntegralEstimate(NamedTuple):
@@ -201,19 +212,24 @@ def integral_check(
     m = n - len(members)
     if m and samples < 2:
         raise ValueError("need at least two samples to estimate a standard error")
-    check_query_size(
-        v.k**n * 2 ** len(members) * (samples if m else 1), limit_bits, "Choquet evaluations"
-    )
+    rows = samples if m else 1
+    check_query_size(v.k**n * 2 ** len(members) * rows, limit_bits, "Choquet evaluations")
 
     grid = v.grid()
     for i in members:
         grid = np.diff(grid, axis=i - 1)
+    flat = grid.ravel(order="K")  # a view: the differences keep the grid's F order
+    # a cell's corners: the flat index of its base plus those of the cell based at 0
+    bases = _box_index(grid, (v.k,) * n)
+    offsets = _box_index(grid, [1 if i in members else 2 for i in range(1, n + 1)])
     means, variances = [], []
-    for ci, q in enumerate(profiles(n, v.k - 1)):
-        U = np.random.default_rng((seed, ci)).random((samples if m else 1, m))
-        g = _extend(_corners(grid, q, members), U)
-        means.append(float(g.mean()))
-        variances.append(float(g.var(ddof=1)) if m else 0.0)
+    for ci, base in enumerate(bases):
+        U = np.random.default_rng((seed, ci)).random((rows, m))
+        g = _extend(flat[base:].take(offsets), U)
+        # g.mean() and g.var(ddof=1) as numpy takes them, without their wrappers
+        mean = g.sum() / rows
+        means.append(float(mean))
+        variances.append(float(np.square(g - mean).sum() / (rows - 1)) if m else 0.0)
     estimate = math.fsum(means)
     std_error = math.sqrt(math.fsum(var / samples for var in variances))
     return IntegralEstimate(estimate, std_error)

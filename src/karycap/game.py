@@ -72,7 +72,8 @@ def check_query_size(
 ) -> None:
     """Fail fast if a query would need more than 2**bits of ``unit``."""
     bits = DEFAULT_QUERY_BITS if limit_bits is None else _integer(limit_bits, "bit limit")
-    if count > 2**bits:
+    # the length test first, so that a large limit never builds 2**bits
+    if count.bit_length() > bits and count > 2**bits:
         raise SizeLimitError(
             f"query needs {count} {unit}, beyond the {bits}-bit limit; "
             "raise the limit explicitly if intended"

@@ -254,9 +254,9 @@ def interaction_recursive(
     return math.fsum(terms)
 
 
-def classical_shapley(v: MultichoiceGame, i: int) -> float:
+def classical_shapley(v: MultichoiceGame, i: int, limit_bits: int | None = None) -> float:
     """Shapley value of attribute i in a two-level (k = 1) game."""
-    return classical_interaction(v, (i,))
+    return classical_interaction(v, (i,), limit_bits)
 
 
 def lattice_point_interaction(v: MultichoiceGame, x: Sequence[int]) -> float:
@@ -325,7 +325,7 @@ def interaction_all_upto(
         served = sum(math.comb(n, t) for t in range(1, m + 1))
         check_query_size((v.k**n + served) * 2**n, limit_bits)
         total = _summed_capacity(v, limit_bits)
-        return {T: classical_interaction(total, T) for T in _coalitions(n, m)}
+        return {T: classical_interaction(total, T, limit_bits) for T in _coalitions(n, m)}
     if method in ("derivative_sum", "recursive"):
         report = sum(math.comb(n, t) * _lookups(method, n, v.k, t) for t in range(1, m + 1))
         check_query_size(report, limit_bits)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -17,7 +18,9 @@ from karycap import (
     random_game,
     section_capacity,
 )
+from karycap import choquet
 from karycap.choquet import _eval_in_cell
+from karycap.game import GAME_KINDS
 from conftest import assert_close
 
 
@@ -35,6 +38,39 @@ def choquet_oracle(mu: MultichoiceGame, w) -> float:
         total += (t - prev) * mu.value([int(wi >= t) for wi in w])
         prev = t
     return total
+
+
+def argsort_choquet(mu: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Choquet integral of each row of W for one capacity by mask: a stable
+    argsort, ``take_along_axis`` and the differences against a zero column."""
+    order = np.argsort(W, axis=1, kind="stable")
+    ranked = np.take_along_axis(W, order, axis=1)
+    prev = np.concatenate([np.zeros((W.shape[0], 1)), ranked[:, :-1]], axis=1)
+    diffs = ranked - prev
+    out = np.zeros(W.shape[0])
+    mask = np.zeros(W.shape[0], dtype=np.int64)
+    for col in range(W.shape[1] - 1, -1, -1):
+        mask = mask | (np.int64(1) << order[:, col])
+        out += diffs[:, col] * mu[mask]
+    return out
+
+
+def per_cell_integral_check(v: MultichoiceGame, T, samples: int, seed: int):
+    """``integral_check`` as one pass per cell: its corners sliced by mask,
+    its own stream, the argsort reference, then numpy's mean and variance."""
+    m = v.n - len(T)
+    grid = v.grid()
+    for i in T:
+        grid = np.diff(grid, axis=i - 1)
+    means, variances = [], []
+    for ci, q in enumerate(p[::-1] for p in product(range(v.k), repeat=v.n)):
+        block = grid[tuple(slice(qi, qi + (1 if i in T else 2)) for i, qi in enumerate(q, 1))]
+        corners = block.ravel(order="F")
+        U = np.random.default_rng((seed, ci)).random((samples if m else 1, m))
+        g = corners[0] + argsort_choquet(corners - corners[0], U)
+        means.append(float(g.mean()))
+        variances.append(float(g.var(ddof=1)) if m else 0.0)
+    return math.fsum(means), math.sqrt(math.fsum(var / samples for var in variances))
 
 
 class TestSectionCapacity:
@@ -343,6 +379,22 @@ class TestIntegralCheck:
         with pytest.raises(ValueError, match="not an integer"):
             integral_check(m2, T, samples, 1)
 
+    # T covering N samples nothing (m = 0); 150 samples reach numpy's
+    # pairwise summation, which the spelled-out mean and variance must follow
+    @pytest.mark.parametrize(
+        "n, k, T",
+        [(3, 2, (1, 2, 3)), (3, 3, (1, 3)), (3, 2, (2,)), (4, 2, (2,)), (5, 1, (4,)), (6, 1, (1,))],
+        ids=["m0", "m1", "m2", "m3", "m4", "m5"],
+    )
+    def test_equals_the_per_cell_loop_bit_for_bit(self, n, k, T):
+        for seed, kind in enumerate(GAME_KINDS):
+            v = random_game(seed + 90, n, k, kind)
+            tied = MultichoiceGame(n, k, np.round(v.values * 2.0) / 2.0)
+            for game, samples in product((v, tied), (2, 7, 150)):
+                got = integral_check(game, T, samples, seed)
+                want = per_cell_integral_check(game, T, samples, seed)
+                assert [x.hex() for x in got] == [x.hex() for x in want]
+
     def test_rejects_bad_arguments(self, m2):
         with pytest.raises(ValueError):
             integral_check(m2, (), 10, 1)
@@ -350,3 +402,28 @@ class TestIntegralCheck:
             integral_check(m2, (1,), 0, 1)
         with pytest.raises(ValueError):
             integral_check(m2, (1,), 1, 1)  # one sample cannot carry a std error
+
+    def test_holds_three_half_tables_on_one_large_cell(self):
+        # k = 1, T = (1,): the one cell's 2^17 corners; held at once are the
+        # differenced grid, the corner offsets and the corners, which become
+        # the increments in place
+        v = random_game(0, 18, 1)
+        tracemalloc.start()
+        try:
+            integral_check(v, (1,), 2, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * v.values.nbytes
+
+
+class TestChoquetBatch:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_tied_rows_equal_the_stable_argsort_kernel(self, m):
+        # values in {0, 1/2, 1} tie within most rows; signed capacities
+        rng = np.random.default_rng(m)
+        W = rng.integers(0, 3, size=(64, m)) / 2.0
+        mu = rng.normal(size=2**m)
+        mu[0] = 0.0
+        got = choquet._choquet_batch(mu, W)
+        assert [x.hex() for x in got] == [x.hex() for x in argsort_choquet(mu, W)]

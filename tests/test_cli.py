@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from karycap import indices, min_game, random_game, save_game
+from karycap import MultichoiceGame, indices, min_game, random_game, save_game
 from karycap.cli import main
 
 
@@ -320,6 +320,20 @@ class TestIntegralCheck:
         doc = json.loads(out)
         assert code == 0
         assert abs(doc["estimate"]) <= 1e-12 and doc["std_error"] <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    @pytest.mark.parametrize("seed, n, k, T", [(13, 4, 2, "1"), (21, 4, 2, "1"), (27, 3, 3, "1,2")])
+    def test_additive_games_pass_at_every_scale(self, capsys, tmp_path, scale, seed, n, k, T):
+        # a constant integrand per cell: the standard error is rounding noise,
+        # so the verdict allows tol * max(1, max|v|) beyond three of them
+        path = str(tmp_path / "add.json")
+        save_game(MultichoiceGame(n, k, random_game(seed, n, k, "additive").values * scale), path)
+        code, out, _ = run(
+            capsys, "integral-check", path, "--set", T, "--samples", "50", "--seed", "1"
+        )
+        doc = json.loads(out)
+        assert code == 0
+        assert list(doc) == ["estimate", "std_error", "closed_form", "z_score"]
 
     @pytest.mark.parametrize(
         "extra, message",

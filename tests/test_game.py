@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import combinations, product
 
 import numpy as np
@@ -279,6 +280,23 @@ class TestGameConstruction:
         # past 2^64 entries the refusal gives bits, not the digits of 3**(10**6)
         with pytest.raises(SizeLimitError, match=r"\(k\+1\)\^n = about 2\^1584963 entries"):
             check_table_size(10**6, 2)
+
+    def test_large_query_limit_is_cheap(self):
+        # the length test decides before 2**bits would be built (a 12.5 MB integer here)
+        start = time.perf_counter()
+        check_query_size(4, 10**8)
+        assert time.perf_counter() - start < 0.05
+
+    @pytest.mark.parametrize("bits", [-3, -1, 0, 1, 2, 26, 64, 100])
+    def test_query_verdict_is_count_above_two_to_the_bits(self, bits):
+        bound = 2**bits
+        counts = {0, 1, 2, 3} if bits < 0 else {0, bound - 1, bound, bound + 1}
+        for count in counts:
+            if count > bound:
+                with pytest.raises(SizeLimitError, match=f"needs {count} .*{bits}-bit limit"):
+                    check_query_size(count, bits)
+            else:
+                check_query_size(count, bits)
 
     def test_value_lookup(self, m2):
         assert m2.value((1, 2)) == 1.0

@@ -27,6 +27,7 @@ from karycap import (
 )
 from karycap import indices
 from karycap.cli import main
+from karycap import game
 from karycap.game import add_games
 from karycap.indices import (
     METHODS,
@@ -252,6 +253,28 @@ class TestClassicalIndices:
                             dividend_interaction(v, S),
                             1e-10,
                         )
+
+    def test_classical_indices_count_the_whole_table(self, monkeypatch):
+        # the subset sums read 2^n entries: refused at n - 1 bits, run at n
+        v = random_game(0, 8, 1)
+        for call in (classical_shapley, lambda v, i, bits: classical_interaction(v, (i, 2), bits)):
+            with pytest.raises(SizeLimitError, match="needs 256 table lookups.*7-bit"):
+                call(v, 1, 7)
+            call(v, 1, 8)
+        monkeypatch.setattr(game, "DEFAULT_QUERY_BITS", 7)
+        with pytest.raises(SizeLimitError, match="7-bit"):
+            classical_shapley(v, 1)
+
+    def test_cellsum_passes_its_limit_to_the_classical_index(self, monkeypatch):
+        # the summed capacity of an n = 5, k = 1 game needs 32 lookups, over
+        # a 4-bit default but within the caller's 12 bits, in both cellsum routes
+        v = random_game(3, 5, 1, "general")
+        want = interaction_cellsum(v, (1, 2))
+        monkeypatch.setattr(game, "DEFAULT_QUERY_BITS", 4)
+        with pytest.raises(SizeLimitError, match="4-bit"):
+            interaction_cellsum(v, (1, 2))
+        assert interaction_cellsum(v, (1, 2), 12) == want
+        assert interaction_all_upto(v, 2, "cellsum", 12)[(1, 2)] == want
 
     def test_rejects_multilevel_games(self, m2):
         with pytest.raises(ValueError):
