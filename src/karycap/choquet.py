@@ -14,12 +14,11 @@ capacity, and likewise the integral of the corresponding mixed partial
 derivative of the extension over the whole box.  Both identities are
 implemented here as independent numerical checks, on top of the classical
 (k = 1) interaction index.  One reader gives a cell's corner values by
-coalition mask, from ``v.grid()`` or from that grid differenced along T,
-and one kernel extends a cell: its base value plus the Choquet integral
-of its increments.  The Monte-Carlo check reads each cell's corners as
-its base's flat index plus the corner offsets of the cell based at 0.
-The summed capacity of all cells is a difference of two shifted boxes of
-the grid per coalition.
+coalition mask, and one kernel extends a cell: its base value plus the
+Choquet integral of its increments.  The Monte-Carlo check reads each
+cell's corners as its base's flat index plus the corner offsets of the
+cell based at 0.  The summed capacity of all cells is a difference of
+two shifted boxes of the grid per coalition.
 """
 
 from __future__ import annotations
@@ -30,18 +29,13 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .game import MultichoiceGame, _integer, _profile, _seed, check_query_size, nonempty_members
+from .game import (MultichoiceGame, _integer, _profile, _seed, check_query_size,
+                   nonempty_members, query_cost)
 
 
-def _corners(grid: np.ndarray, q: Sequence[int], T: Sequence[int] = ()) -> np.ndarray:
-    """Values at the corners of the unit cell with base q, by coalition mask.
-
-    ``grid`` is ``v.grid()`` or that grid differenced along the attributes
-    of T.  On T's axes the cell has one entry, so the mask runs over the
-    other attributes; the cell is read in F order.
-    """
-    block = grid[tuple(slice(qi, qi + (1 if i in T else 2)) for i, qi in enumerate(q, 1))]
-    return block.ravel(order="F")
+def _corners(v: MultichoiceGame, q: Sequence[int]) -> np.ndarray:
+    """Values of v at the corners of the unit cell with base q, by coalition mask."""
+    return v.grid()[tuple(slice(qi, qi + 2) for qi in q)].ravel(order="F")
 
 
 def _extend(corners: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -58,7 +52,7 @@ def _extend(corners: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 def section_capacity(v: MultichoiceGame, q: Sequence[int]) -> MultichoiceGame:
     """Capacity of the unit cell with base q, q in {0..k-1}^n, as a k = 1 game."""
-    corners = _corners(v.grid(), _profile(q, v.n, v.k - 1))
+    corners = _corners(v, _profile(q, v.n, v.k - 1))
     return MultichoiceGame(v.n, 1, corners - corners[0])
 
 
@@ -92,7 +86,7 @@ def choquet_capacity(mu: MultichoiceGame, w: Sequence[float]) -> float:
 def _eval_in_cell(v: MultichoiceGame, q: Sequence[int], z: np.ndarray) -> float:
     """Extension value at z computed through the cell based at q."""
     offs = z - np.asarray(q, dtype=np.float64)
-    return float(_extend(_corners(v.grid(), q).copy(), offs[None, :])[0])
+    return float(_extend(_corners(v, q).copy(), offs[None, :])[0])
 
 
 def choquet_kary(v: MultichoiceGame, z: Sequence[float]) -> float:
@@ -114,12 +108,12 @@ def choquet_kary(v: MultichoiceGame, z: Sequence[float]) -> float:
 def classical_interaction(
     v: MultichoiceGame, S: Iterable[int], limit_bits: int | None = None
 ) -> float:
-    """Interaction index of coalition S in a two-level (k = 1) game; 2**n lookups."""
+    """Interaction index of coalition S in a two-level (k = 1) game."""
     if v.k != 1:
         raise ValueError(f"defined for k = 1 games only, got k = {v.k}")
     members = nonempty_members(S, v.n)
-    check_query_size(2**v.n, limit_bits)
     n, s = v.n, len(members)
+    check_query_size(query_cost("closed_form", n, v.k, s), limit_bits)
     others = [p for p in range(n) if p + 1 not in set(members)]
     inner_masks = [
         ((-1.0) ** (s - a), sum(1 << (i - 1) for i in K))
@@ -148,13 +142,13 @@ def interaction_cellsum(
     independent oracle for it.
     """
     members = nonempty_members(T, v.n)
-    return classical_interaction(_summed_capacity(v, limit_bits), members, limit_bits)
+    check_query_size(query_cost("cellsum", v.n, v.k, len(members)), limit_bits)
+    return classical_interaction(_summed_capacity(v), members, limit_bits)
 
 
-def _summed_capacity(v: MultichoiceGame, limit_bits: int | None) -> MultichoiceGame:
+def _summed_capacity(v: MultichoiceGame) -> MultichoiceGame:
     """Total of the section capacities of all k**n unit cells, as a k = 1 game."""
     n, k = v.n, v.k
-    check_query_size(k**n * 2**n, limit_bits)
     grid = v.grid()
     low = grid[(slice(0, k),) * n]  # the cell bases
     # the summed capacity of coalition mask m: the cell bases raised by one on
@@ -197,23 +191,19 @@ def integral_check(
     stream seeded by (seed, cell number in table order), so the result is
     deterministic.  For |T| = 1 this integrates the almost-everywhere
     partial derivative cell by cell.  Returns the estimate and its
-    standard error.
-
-    The guard counts the corners the integrand stands for, k**n * 2**t
-    Choquet evaluations per sample, so the count is conservative; when T
-    covers every attribute nothing is sampled, so they count once.
+    standard error; when T covers every attribute, nothing is sampled.
     """
     members = nonempty_members(T, v.n)
     seed = _seed(seed)
     samples = _integer(samples, "sample count")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    n = v.n
-    m = n - len(members)
+    n, t = v.n, len(members)
+    m = n - t
     if m and samples < 2:
         raise ValueError("need at least two samples to estimate a standard error")
     rows = samples if m else 1
-    check_query_size(v.k**n * 2 ** len(members) * rows, limit_bits, "Choquet evaluations")
+    check_query_size(query_cost("integral", n, v.k, t) * rows, limit_bits, "Choquet evaluations")
 
     grid = v.grid()
     for i in members:

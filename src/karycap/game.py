@@ -80,6 +80,26 @@ def check_query_size(
         )
 
 
+# each route's count for one coalition T of order t, in table lookups unless noted:
+# the per-coalition routes read the (k+1)^(n-t) profiles off T times the reads on T
+_COSTS = {
+    "closed_form": lambda n, k, t: (k + 1) ** (n - t) * 2**t,
+    "derivative_sum": lambda n, k, t: (k + 1) ** (n - t) * (2 * k) ** t,
+    "recursive": lambda n, k, t: (k + 1) ** (n - t) * 2 * (2**t - 1),  # 2^t - 1 reduced games
+    "cellsum": lambda n, k, t: 2**n,  # a classical index: the closed form at k = 1
+    "pass": lambda n, k, t: max((k + 1) ** n, n * 2**n),  # the table, or at k = 1 its n rows
+    "integral": lambda n, k, t: k**n * 2**t,  # Choquet evaluations per sample: 2^t per cell
+}
+
+
+def query_cost(route: str, n: int, k: int, t: int = 0, m: int = 0) -> int:
+    """The one cost model of the query guards: what one call of ``route`` reads,
+    for one coalition of order t or, given m, for all C(n, t) of each order 1..m."""
+    each = _COSTS[route]
+    count = sum(math.comb(n, s) * each(n, k, s) for s in range(1, m + 1)) if m else each(n, k, t)
+    return count + k**n * 2**n if route == "cellsum" else count  # + summing the cells, once
+
+
 def profiles(n: int, k: int) -> Iterator[LatticePoint]:
     """All profiles of {0..k}^n in canonical table order (attribute 1 fastest)."""
     # product varies its last slot fastest; reversed, attribute 1 is fastest

@@ -64,6 +64,7 @@ from .game import (
     check_query_size,
     members_tuple,
     nonempty_members,
+    query_cost,
     reduce_group,
     support,
 )
@@ -117,15 +118,9 @@ def _classes(shape: tuple[int, ...], n: int) -> np.ndarray:
     return weights
 
 
-def _lookups(method: str, n: int, k: int, t: int) -> int:
-    """Table lookups of one order-t query: its reads on T per profile of the rest."""
-    on_T = {"closed_form": 2**t, "derivative_sum": (2 * k) ** t, "recursive": 2 * (2**t - 1)}
-    return (k + 1) ** (n - t) * on_T[method]
-
-
 def _closed_form(v: MultichoiceGame, members: Coalition, limit_bits: int | None) -> float:
     n, k, t = v.n, v.k, len(members)
-    check_query_size(_lookups("closed_form", n, k, t), limit_bits)
+    check_query_size(query_cost("closed_form", n, k, t), limit_bits)
     # T at levels 0 and k, every other attribute at each of its levels
     ends = tuple(slice(0, k + 1, k) if i in members else slice(None) for i in range(1, n + 1))
     terms = v.grid()[ends]
@@ -162,11 +157,10 @@ def _index_array(v: MultichoiceGame, limit_bits: int | None = None) -> np.ndarra
     """Closed-form index of every coalition at once, by coalition mask.
 
     Returns a flat array of 2^n entries whose entry ``_mask(T)`` is I(T);
-    entry 0 is not an index.  See the module docstring for the sweep; the
-    guard counts the whole table or the n degree rows, whichever is larger.
+    entry 0 is not an index.  See the module docstring for the sweep.
     """
     n, k = v.n, v.k
-    check_query_size(max((k + 1) ** n, n * 2**n), limit_bits)
+    check_query_size(query_cost("pass", n, k), limit_bits)
     # each axis: its entry 0 sums levels 0..k-1 (row P), entry 1 is top minus bottom (D);
     # numpy sums k >= 8 entries pairwise along the fastest axis and in sequence along
     # any other, so h is kept in C order to fix the rounding of each sum
@@ -221,8 +215,7 @@ def interaction_via_derivatives(
     up to rounding and serves as an independent oracle for it.
     """
     members = nonempty_members(T, v.n)
-    n, k, t = v.n, v.k, len(members)
-    check_query_size(_lookups("derivative_sum", n, k, t), limit_bits)
+    check_query_size(query_cost("derivative_sum", v.n, v.k, len(members)), limit_bits)
     deltas = v.grid()  # after the differences: one entry per unit cell of the T-block
     for i in members:
         deltas = np.diff(deltas, axis=i - 1)
@@ -238,12 +231,11 @@ def interaction_recursive(
     Expands I(T) as the signed sum, over nonempty A within T, of the
     importance of the macro attribute in the game where A moves in
     lockstep and T without A is frozen at level 0.  Singleton base case
-    is the importance index itself.  The guard counts the importance
-    queries of all 2^t - 1 reduced games before the first is built.
+    is the importance index itself.
     """
     members = nonempty_members(T, v.n)
     t = len(members)
-    check_query_size(_lookups("recursive", v.n, v.k, t), limit_bits)
+    check_query_size(query_cost("recursive", v.n, v.k, t), limit_bits)
     if t == 1:
         return importance(v, members[0], limit_bits)
     terms = []
@@ -309,9 +301,8 @@ def interaction_all_upto(
     ``method`` is one of closed_form, derivative_sum, recursive, cellsum;
     closed_form reads every coalition from one :func:`_index_array` pass,
     and cellsum indexes every coalition in the one k = 1 game of summed
-    cell capacities, counting (k^n + C) * 2^n lookups for C coalitions;
-    the others count every coalition's query.  All guard before listing
-    any coalition; an unknown method is refused at the first coalition.
+    cell capacities.  Each counts its whole report before listing any
+    coalition; an unknown method is refused at the first coalition.
     """
     m = _integer(m, "max order")
     n = v.n
@@ -321,12 +312,9 @@ def interaction_all_upto(
         index = _index_array(v, limit_bits)
         coalitions, masks = (_layout if n <= _CACHED_LAYOUT_N else _layout.__wrapped__)(n, m)
         return dict(zip(coalitions, index[masks].tolist()))
+    if method in METHODS:
+        check_query_size(query_cost(method, n, v.k, m=m), limit_bits)
     if method == "cellsum":
-        served = sum(math.comb(n, t) for t in range(1, m + 1))
-        check_query_size((v.k**n + served) * 2**n, limit_bits)
-        total = _summed_capacity(v, limit_bits)
+        total = _summed_capacity(v)
         return {T: classical_interaction(total, T, limit_bits) for T in _coalitions(n, m)}
-    if method in ("derivative_sum", "recursive"):
-        report = sum(math.comb(n, t) * _lookups(method, n, v.k, t) for t in range(1, m + 1))
-        check_query_size(report, limit_bits)
     return {T: interaction_by_method(v, T, method, limit_bits) for T in _coalitions(n, m)}

@@ -93,7 +93,7 @@ def _is_int(x) -> bool:
 def _parse(fp: IO[str]) -> dict:
     try:
         doc = json.load(fp)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested to decode
         raise GameFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise GameFormatError("top-level JSON value must be an object")

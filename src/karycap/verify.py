@@ -156,7 +156,9 @@ def verify_axioms(
         raise ValueError("need at least one trial")
     _tolerance(tol)
     seed = _seed(seed)
-    if game is not None:
+    if game is None:
+        check_table_size(n, k, limit_bits)
+    else:
         n, k = game.n, game.k
     for axiom in axioms:
         if axiom == "I" and k < 2:

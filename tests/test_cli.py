@@ -85,6 +85,13 @@ class TestInfo:
         code, _, err = run(capsys, "info", str(path))
         assert code == 1 and "length mismatch" in err
 
+    def test_deeply_nested_file_is_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": 1, "k": 1, "values": ' + "[" * 5_000 + "]" * 5_000 + "}")
+        code, out, err = run(capsys, "info", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
     def test_nonzero_origin_without_normalize(self, capsys, tmp_path):
         path = tmp_path / "off.json"
         path.write_text(json.dumps({"n": 1, "k": 1, "values": [0.5, 1.0]}))

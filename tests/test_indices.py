@@ -28,7 +28,7 @@ from karycap import (
 from karycap import indices
 from karycap.cli import main
 from karycap import game
-from karycap.game import add_games
+from karycap.game import add_games, query_cost
 from karycap.indices import (
     METHODS,
     _classes,
@@ -696,3 +696,71 @@ class TestReport:
         for m in (True, 1.0):  # neither may stand for order 1
             with pytest.raises(ValueError, match="not an integer"):
                 interaction_all_upto(m2, m)
+
+
+class TestCostModel:
+    """Every size guard reads its count from :func:`karycap.game.query_cost`."""
+
+    @pytest.mark.parametrize(
+        "n, k, t, m",
+        [(1, 1, 1, 1), (2, 1, 1, 2), (3, 2, 2, 2), (4, 3, 2, 3), (5, 1, 3, 2), (3, 3, 3, 3)],
+    )
+    def test_every_guard_reads_the_model(self, n, k, t, m):
+        v, w = random_game(n + k, n, k, "general"), random_game(n, n, 1, "general")
+        T = tuple(range(1, t + 1))
+        rows = 3 if t < n else 1  # nothing is sampled when T covers every attribute
+        served = sum(math.comb(n, s) for s in range(1, m + 1))
+        report = lambda each: sum(math.comb(n, s) * each(s) for s in range(1, m + 1))
+        lookups, evaluations = "table lookups", "Choquet evaluations"
+        # (call at a limit, the model's count, the count written out, its unit)
+        routes = [
+            (lambda b: importance(v, 1, b), query_cost("closed_form", n, k, 1),
+             (k + 1) ** (n - 1) * 2, lookups),
+            (lambda b: interaction(v, T, b), query_cost("closed_form", n, k, t),
+             (k + 1) ** (n - t) * 2**t, lookups),
+            (lambda b: interaction_via_derivatives(v, T, b), query_cost("derivative_sum", n, k, t),
+             (k + 1) ** (n - t) * (2 * k) ** t, lookups),
+            (lambda b: interaction_recursive(v, T, b), query_cost("recursive", n, k, t),
+             (k + 1) ** (n - t) * 2 * (2**t - 1), lookups),
+            (lambda b: interaction_cellsum(v, T, b), query_cost("cellsum", n, k, t),
+             (k**n + 1) * 2**n, lookups),
+            (lambda b: classical_interaction(w, T, b), query_cost("closed_form", n, 1, t),
+             2**n, lookups),
+            (lambda b: _index_array(v, b), query_cost("pass", n, k),
+             max((k + 1) ** n, n * 2**n), lookups),
+            (lambda b: integral_check(v, T, rows, 5, b), query_cost("integral", n, k, t) * rows,
+             k**n * 2**t * rows, evaluations),
+            (lambda b: interaction_all_upto(v, m, "derivative_sum", b),
+             query_cost("derivative_sum", n, k, m=m),
+             report(lambda s: (k + 1) ** (n - s) * (2 * k) ** s), lookups),
+            (lambda b: interaction_all_upto(v, m, "recursive", b),
+             query_cost("recursive", n, k, m=m),
+             report(lambda s: (k + 1) ** (n - s) * 2 * (2**s - 1)), lookups),
+            (lambda b: interaction_all_upto(v, m, "cellsum", b), query_cost("cellsum", n, k, m=m),
+             (k**n + served) * 2**n, lookups),
+        ]
+        for call, count, written, unit in routes:
+            assert count == written
+            bits = (count - 1).bit_length()  # the least limit that admits count
+            refusal = f"needs {count} {unit}, beyond the {bits - 1}-bit limit"
+            with pytest.raises(SizeLimitError, match=refusal):
+                call(bits - 1)
+            call(bits)
+
+    def test_the_pass_is_counted_once_not_per_coalition(self):
+        # the pass reads 4^8 = 65,536 lookups, where the closed-form queries
+        # of all 255 coalitions would read 6^8 - 4^8 = 1,614,080
+        assert query_cost("pass", 8, 3) == 2**16
+        assert query_cost("closed_form", 8, 3, m=8) == 1_614_080
+        assert len(interaction_all_upto(random_game(0, 8, 3), 8, "closed_form", 16)) == 255
+
+    def test_a_single_cellsum_query_is_counted_whole(self):
+        # the summed capacity and the classical index, (k^n + 1) 2^n lookups,
+        # as the order-1 report over the same coalition counts them
+        v = random_game(1, 1, 1)
+        for call in (lambda: interaction_cellsum(v, (1,), 1),
+                     lambda: interaction_all_upto(v, 1, "cellsum", 1)):
+            with pytest.raises(SizeLimitError, match="needs 4 table lookups.*1-bit"):
+                call()
+        with pytest.raises(SizeLimitError, match="needs 40 table lookups.*5-bit"):
+            interaction_cellsum(random_game(1, 2, 3), (1,), 5)

@@ -68,6 +68,14 @@ class TestLoad:
         with pytest.raises(GameFormatError, match="JSON"):
             load_game(str(path))
 
+    @pytest.mark.parametrize("depth", [1_000, 100_000])
+    def test_deep_nesting_is_a_format_error(self, tmp_path, depth):
+        # nested deeper than the decoder recurses: refused, not a RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": 1, "k": 1, "values": ' + "[" * depth + "]" * depth + "}")
+        with pytest.raises(GameFormatError):
+            load_game(str(path))
+
     def test_non_finite_rejected(self, tmp_path):
         path = write(tmp_path, {"n": 1, "k": 1, "values": [0.0, float("inf")]})
         with pytest.raises(GameFormatError, match="finite"):

@@ -400,6 +400,12 @@ class TestVerifyAxioms:
             verify_axioms(("L", "Z"), 2, 1, 3, 2)
         assert built == []
 
+    @pytest.mark.parametrize("n, k", [(0, 3), (3, 0)])
+    def test_sizes_are_checked_before_the_axioms(self, n, k):
+        # R's and I's own conditions would name the wrong cause
+        with pytest.raises(ValueError, match=f"need n >= 1 and k >= 1, got n={n}, k={k}"):
+            verify_axioms(AXIOMS, 1, 1, n, k)
+
     def test_rejects_an_empty_axiom_list(self):
         # a run of no checks would pass vacuously
         with pytest.raises(ValueError, match="at least one axiom"):
