@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .game import (MultichoiceGame, _integer, _profile, _seed, check_query_size,
+from .game import (MultichoiceGame, _diff, _integer, _profile, _seed, check_query_size,
                    nonempty_members, query_cost)
 
 
@@ -163,10 +163,8 @@ def _summed_capacity(v: MultichoiceGame) -> MultichoiceGame:
 def _box_index(grid: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     """Indices into ``grid.ravel(order="K")``, for a contiguous grid, of
     the points of the box [0, dims), in F order (table order)."""
-    index = np.zeros(1, dtype=np.intp)
-    for d, stride in zip(dims, grid.strides):
-        index = (np.arange(d)[:, None] * (stride // grid.itemsize) + index).ravel()
-    return index
+    levels = np.ix_(*map(np.arange, dims))
+    return sum(lv * (s // grid.itemsize) for lv, s in zip(levels, grid.strides)).ravel(order="F")
 
 
 class IntegralEstimate(NamedTuple):
@@ -205,9 +203,7 @@ def integral_check(
     rows = samples if m else 1
     check_query_size(query_cost("integral", n, v.k, t) * rows, limit_bits, "Choquet evaluations")
 
-    grid = v.grid()
-    for i in members:
-        grid = np.diff(grid, axis=i - 1)
+    grid = _diff(v.grid(), members)
     flat = grid.ravel(order="K")  # a view: the differences keep the grid's F order
     # a cell's corners: the flat index of its base plus those of the cell based at 0
     bases = _box_index(grid, (v.k,) * n)

@@ -14,11 +14,11 @@ slices, :func:`permute_attributes` is an axis move,
 in front, one level array on the axes of A); the axiom
 partners of :mod:`karycap.verify` broadcast a new axis or concatenate
 along an axis moved to the front.  The indices are slices of it followed
-by differences along axes; ``MultichoiceGame.from_grid`` builds a game
-from such an array.  A classical capacity is the game with k = 1.
-:func:`profiles` is the one enumerator of lattice profiles: it lists
-{0..k}^n in table order, for tabulating a function and for walking the
-unit cells of {0..k-1}^n.
+by their T-difference :func:`_diff`, the one loop of differences along T's
+axes; ``MultichoiceGame.from_grid`` builds a game from such an array.
+Per-axis levels are open grids (``np.ix_``), so no table built from them
+holds n tables.  A classical capacity is the game with k = 1.
+:func:`profiles` lists {0..k}^n in table order, to tabulate a function.
 
 Games are immutable once built; every operation here is a pure function,
 so games can be shared freely across threads.
@@ -26,6 +26,7 @@ so games can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -56,11 +57,12 @@ def check_table_size(n: int, k: int, limit_bits: int | None = None) -> None:
     n, k = _integer(n, "attribute count n"), _integer(k, "top level k")
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    size_bits = n * math.log2(k + 1)
-    if size_bits > bits:
-        # the exact count only up to 2^64: 3**(10**7) takes seconds to build,
-        # and past 4,300 digits str() refuses it
-        count = (k + 1) ** n if size_bits <= 64 else f"about 2^{size_bits:.0f}"
+    # (k+1)^n >= 2^n, so an n above the limit is refused before it meets a float
+    if n > bits or n * math.log2(k + 1) > bits:
+        # the exact count only up to 2^64 (3**(10**7) takes seconds to build, and past
+        # 4,300 digits str() refuses it), then its bits while n fits a float, then the power
+        count = (f"{k + 1}^{n}" if n >= 2**64 else (k + 1) ** n
+                 if (size_bits := n * math.log2(k + 1)) <= 64 else f"about 2^{size_bits:.0f}")
         raise SizeLimitError(
             f"table over {{0..{k}}}^{n} has (k+1)^n = {count} entries, "
             f"beyond the {bits}-bit limit; raise the limit explicitly if intended"
@@ -182,10 +184,10 @@ class MultichoiceGame:
         if self.n < 1 or self.k < 1:
             raise ValueError(f"need n >= 1 and k >= 1, got n={self.n}, k={self.k}")
         vals = np.array(self.values, dtype=np.float64)  # private copy, then frozen
-        if vals.shape != ((self.k + 1) ** self.n,):
+        # (k+1)^n >= 2^n: an n past the length's bit length fails without the power
+        if self.n > vals.size.bit_length() or vals.shape != ((self.k + 1) ** self.n,):
             raise ValueError(
-                f"table length {vals.size} does not match (k+1)^n = "
-                f"{(self.k + 1) ** self.n}"
+                f"table length {vals.size} does not match (k+1)^n over {{0..{self.k}}}^{self.n}"
             )
         if not np.isfinite(vals).all():
             raise ValueError("table values must be finite")
@@ -231,7 +233,15 @@ class MultichoiceGame:
 def min_game(n: int, k: int) -> MultichoiceGame:
     """v(x) = min_i x_i; the standard fully conjunctive example."""
     check_table_size(n, k)
-    return MultichoiceGame.from_grid(np.indices((k + 1,) * n).min(axis=0))
+    levels = np.ix_(*map(np.arange, (k + 1,) * n))  # attribute i's levels, along axis i-1
+    return MultichoiceGame.from_grid(functools.reduce(np.minimum, levels))
+
+
+def _diff(a: np.ndarray, T: Iterable[int]) -> np.ndarray:
+    """The T-difference of ``a``: one difference along the axis of each attribute of T."""
+    for i in T:
+        a = np.diff(a, axis=i - 1)
+    return a
 
 
 def discrete_derivative(v: MultichoiceGame, T: Iterable[int], x: Sequence[int]) -> float:
@@ -248,9 +258,7 @@ def discrete_derivative(v: MultichoiceGame, T: Iterable[int], x: Sequence[int]) 
     cell = v.grid()[tuple(
         slice(xi, xi + 2) if i in members else slice(xi, xi + 1) for i, xi in enumerate(x, 1)
     )]
-    for i in members:
-        cell = np.diff(cell, axis=i - 1)
-    return cell.item()
+    return _diff(cell, members).item()
 
 
 def extend_heterogeneous(
@@ -397,6 +405,6 @@ def random_game(
         vals = vals / vals[-1]
     else:  # additive
         weights = rng.uniform(0.0, 1.0, n)
-        levels = np.indices((k + 1,) * n)  # levels[i-1] holds the level of attribute i
+        levels = np.ix_(*map(np.arange, (k + 1,) * n))  # attribute i's levels, along axis i-1
         vals = sum(weight * level for weight, level in zip(weights, levels)).ravel(order="F")
     return MultichoiceGame(n, k, vals, {"seed": seed, "kind": kind})

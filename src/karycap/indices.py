@@ -12,8 +12,8 @@ sits at level 0 or k.  For t = 1 this reduces to the importance index of
 a single attribute (top-minus-bottom differences).
 
 Every index reads the table through ``v.grid()``: a basic slice of the
-grid (levels 0 and k on the axes of T, say) followed by ``np.diff`` along
-each axis of T.  Each resulting term is weighted by the coefficient of its
+grid (levels 0 and k on the axes of T, say) followed by its T-difference,
+``game._diff``.  Each resulting term is weighted by the coefficient of its
 (s, kap) class, rounded to a double once per class and cached per shape of
 terms, and all the weighted terms are added in one ``math.fsum``, which
 rounds their total once whatever their order.
@@ -59,6 +59,7 @@ from .choquet import _summed_capacity, classical_interaction, interaction_cellsu
 from .game import (
     Coalition,
     MultichoiceGame,
+    _diff,
     _integer,
     _profile,
     check_query_size,
@@ -106,9 +107,9 @@ _CACHED_WEIGHTS = 2**14
 def _classes(shape: tuple[int, ...], n: int) -> np.ndarray:
     """Weight of each entry of an array of ``shape`` (the axes outside T) in
     F order: the coefficient of its (s, kap) class, rounded once per class."""
-    levels = np.indices(shape)  # s counts the levels above 0, kap those at k
-    s_arr = np.count_nonzero(levels > 0, axis=0)
-    kap_arr = np.count_nonzero(levels == max(shape, default=1) - 1, axis=0)
+    levels, top = np.ix_(*map(np.arange, shape)), max(shape, default=1) - 1
+    s_arr = sum(level > 0 for level in levels)  # the levels above 0
+    kap_arr = sum(level == top for level in levels)  # the levels at k
     coefficients = np.zeros((len(shape) + 1,) * 2)
     for s in range(len(shape) + 1):
         for kap in range(s + 1):
@@ -123,10 +124,7 @@ def _closed_form(v: MultichoiceGame, members: Coalition, limit_bits: int | None)
     check_query_size(query_cost("closed_form", n, k, t), limit_bits)
     # T at levels 0 and k, every other attribute at each of its levels
     ends = tuple(slice(0, k + 1, k) if i in members else slice(None) for i in range(1, n + 1))
-    terms = v.grid()[ends]
-    for i in members:
-        terms = np.diff(terms, axis=i - 1)
-    return _combine_classes(terms)
+    return _combine_classes(_diff(v.grid()[ends], members))
 
 
 def _mask(T: Iterable[int]) -> int:
@@ -216,9 +214,7 @@ def interaction_via_derivatives(
     """
     members = nonempty_members(T, v.n)
     check_query_size(query_cost("derivative_sum", v.n, v.k, len(members)), limit_bits)
-    deltas = v.grid()  # after the differences: one entry per unit cell of the T-block
-    for i in members:
-        deltas = np.diff(deltas, axis=i - 1)
+    deltas = _diff(v.grid(), members)  # one entry per unit cell of the T-block
     terms = deltas.sum(axis=tuple(i - 1 for i in members), keepdims=True)
     return _combine_classes(terms)
 
@@ -264,9 +260,8 @@ def lattice_point_interaction(v: MultichoiceGame, x: Sequence[int]) -> float:
     J = support(x)
     if not J:
         raise ValueError("x must have nonempty support")
-    deltas = v.grid()[tuple(slice(xi - 1, xi + 1) if xi else slice(0, v.k + 1, v.k) for xi in x)]
-    for i in J:
-        deltas = np.diff(deltas, axis=i - 1)
+    ends = tuple(slice(xi - 1, xi + 1) if xi else slice(0, v.k + 1, v.k) for xi in x)
+    deltas = _diff(v.grid()[ends], J)
     # the axes outside J hold levels {0, k} at indices {0, 1}: read as a k = 1
     # grid, h attributes at the top make class (s, kap) = (h, h), whose
     # coefficient (n-j-h)! h! / (n-j+1)! is the weight of this index

@@ -12,7 +12,6 @@ pass the size guard before any value is read.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import math
 from typing import IO
@@ -55,7 +54,9 @@ def load_game(
     expected = math.prod(ki + 1 for ki in k_list)
     values, offset = _values_array(doc["values"], expected, normalize)
     game = extend_heterogeneous(values, k_list, limit_bits=limit_bits)
-    return dataclasses.replace(game, meta={**game.meta, "v0_offset": offset}) if offset else game
+    if offset:  # the game's meta dict is its own: recorded without a second construction
+        game.meta["v0_offset"] = offset
+    return game
 
 
 #: Values encoded per write; the writer holds one chunk as Python floats.

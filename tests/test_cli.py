@@ -92,6 +92,14 @@ class TestInfo:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
+    def test_huge_n_is_one_error_line(self, capsys, tmp_path):
+        # n past the float range once escaped the size guard as an OverflowError
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 10**400, "k": 1, "values": [0, 1]}))
+        code, out, err = run(capsys, "info", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
     def test_nonzero_origin_without_normalize(self, capsys, tmp_path):
         path = tmp_path / "off.json"
         path.write_text(json.dumps({"n": 1, "k": 1, "values": [0.5, 1.0]}))
@@ -263,6 +271,17 @@ class TestVerify:
         )
         # the trial game's 4**4-entry table is refused, before any partner
         assert code == 1 and out == "" and "256 entries, beyond the 4-bit limit" in err
+
+    def test_huge_n_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, "verify", "--trials", "1", "--n", str(10**400))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "beyond the 28-bit" in err
+
+    def test_finite_tolerance_is_the_verdict(self, capsys):
+        # every gap exceeds a negative tolerance, and none of a random game's exceeds 1
+        for tol, want in [("-1", 1), ("1", 0)]:
+            code, out, _ = run(capsys, "verify", "--trials", "2", f"--tol={tol}")
+            assert code == want and json.loads(out)["passed"] is (want == 0)
 
     @pytest.mark.parametrize(
         "argv",

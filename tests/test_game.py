@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -28,7 +29,7 @@ from karycap.game import (
     support,
 )
 from karycap.choquet import integral_check
-from karycap.indices import interaction
+from karycap.indices import _classes, importance, interaction
 from karycap.verify import make_invariance_partner, make_null_extension, verify_axiom
 from conftest import delta_recursive
 
@@ -257,6 +258,32 @@ class TestGameConstruction:
         with pytest.raises(ValueError, match="length"):
             MultichoiceGame.from_values(2, 2, [0.0] * 8)
 
+    @pytest.mark.parametrize("n, k", [(0, 1), (1, 0)])
+    def test_sizes_below_one_rejected(self, n, k):
+        with pytest.raises(ValueError, match=f"need n >= 1 and k >= 1, got n={n}, k={k}"):
+            MultichoiceGame(n, k, [0.0])
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: random_game(0, 10**400, 1), "beyond the 28-bit limit"),
+            (lambda: min_game(10**400, 1), "beyond the 28-bit limit"),
+            (lambda: MultichoiceGame.from_function(10**400, 1, float), "beyond the 28-bit limit"),
+            (lambda: MultichoiceGame(10**400, 1, [0.0, 1.0]), "^table length 2 does not match"),
+            (lambda: MultichoiceGame(10**8, 1, [0.0, 1.0]), "^table length 2 does not match"),
+            (lambda: MultichoiceGame(10**6, 1, [0.0, 1.0]), "^table length 2 does not match"),
+        ],
+        ids=["random_game", "min_game", "from_function", "ctor-1e400", "ctor-1e8", "ctor-1e6"],
+    )
+    def test_huge_n_refused_at_once(self, build, message):
+        # n past the float range once escaped as OverflowError, and the constructor
+        # built (k+1)^n twice: 0.75 s at 10**8, without end at 10**400, and at
+        # 10**6 str() refused the power's digits
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=message):
+            build()
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -277,9 +304,12 @@ class TestGameConstruction:
     def test_min_game_refused_before_allocating(self):
         with pytest.raises(SizeLimitError, match="= 1152921504606846976 entries, beyond the 28"):
             min_game(30, 3)
-        # past 2^64 entries the refusal gives bits, not the digits of 3**(10**6)
+        # past 2^64 entries the refusal gives bits, not the digits of 3**(10**6),
+        # and once n is past 2^64, the power
         with pytest.raises(SizeLimitError, match=r"\(k\+1\)\^n = about 2\^1584963 entries"):
             check_table_size(10**6, 2)
+        with pytest.raises(SizeLimitError, match=r"\(k\+1\)\^n = 3\^18446744073709551616 entries"):
+            check_table_size(2**64, 2)
 
     def test_large_query_limit_is_cheap(self):
         # the length test decides before 2**bits would be built (a 12.5 MB integer here)
@@ -387,6 +417,8 @@ class TestHeterogeneousExtension:
             extend_heterogeneous([1.0, 2.0], [1])
         with pytest.raises(ValueError, match="target k=1 below max"):
             extend_heterogeneous([0.0, 1.0, 2.0], [2], k=1)
+        with pytest.raises(ValueError, match="level counts must be >= 1"):
+            extend_heterogeneous([0.0, 1.0], [0])
 
 
 class TestKaryCapacityCheck:
@@ -519,6 +551,31 @@ class TestRandomGame:
         # explicit override allows larger tables
         v = random_game(1, 10, 2, "general", limit_bits=17)
         assert v.values.size == 3**10
+
+
+class TestBuildMemory:
+    """A build holds a few tables, not one level array per attribute."""
+
+    @staticmethod
+    def peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_peak_is_a_fixed_multiple_of_the_table(self, n):
+        table = 8 * 2**n  # k = 1
+        # the first calls in a process set up numpy state that is not the build's
+        min_game(2, 1)
+        random_game(0, 2, 1, "additive")
+        assert self.peak(lambda: min_game(n, 1)) < 5 * table
+        assert self.peak(lambda: random_game(0, n, 1, "additive")) < 5 * table
+        v = random_game(0, n, 1)
+        _classes.cache_clear()
+        assert self.peak(lambda: importance(v, 1)) < 4 * table
 
 
 class TestPermutation:

@@ -52,9 +52,29 @@ class TestLoad:
         assert game.values.tolist() == [0.0, 0.5, 0.5, 0.5, 1.5, 1.5, 1.5, 2.5, 2.5]
         assert game.meta == {"k_list": (1, 2), "v0_offset": 0.5}
 
+    def test_each_load_constructs_once(self, tmp_path, monkeypatch):
+        # the offset is recorded on the loaded game, not on a second copy of it
+        built = []
+        post_init = MultichoiceGame.__post_init__
+        monkeypatch.setattr(MultichoiceGame, "__post_init__",
+                            lambda game: built.append(post_init(game)))
+        for doc in ({"n": 1, "k": 1, "values": [0.25, 1.0]},
+                    {"n": 2, "k": [1, 2], "values": [0.5, 1, 1, 2, 2, 3]},
+                    {"n": 1, "k": 1, "values": [0.0, 1.0]}):
+            built.clear()
+            first = load_game(write(tmp_path, doc), normalize=True)
+            assert len(built) == 1
+            second = load_game(write(tmp_path, doc), normalize=True)
+            assert first.meta == second.meta and first.meta is not second.meta
+
     def test_length_mismatch(self, tmp_path):
         path = write(tmp_path, {"n": 2, "k": 2, "values": [0.0] * 8})
         with pytest.raises(GameFormatError, match="length mismatch"):
+            load_game(path)
+
+    def test_top_level_must_be_an_object(self, tmp_path):
+        path = write(tmp_path, [1, 2])
+        with pytest.raises(GameFormatError, match="top-level JSON value must be an object"):
             load_game(path)
 
     def test_missing_key(self, tmp_path):
@@ -86,6 +106,9 @@ class TestLoad:
             path = write(tmp_path, {"n": 2, "k": bad, "values": [0.0] * 4})
             with pytest.raises(GameFormatError):
                 load_game(path)
+        path = write(tmp_path, {"n": 2, "k": [1, 1, 1], "values": [0.0] * 8})
+        with pytest.raises(GameFormatError, match='"k" list has 3 entries, expected n = 2'):
+            load_game(path)
 
     @pytest.mark.parametrize(
         "sizes",
