@@ -21,7 +21,7 @@ from typing import Sequence
 from .choquet import choquet_kary, integral_check
 from .game import MultichoiceGame, _tolerance, is_kary_capacity
 from .indices import METHODS, interaction, interaction_all_upto, interaction_by_method
-from .io import GameFormatError, load_game, save_game
+from .io import load_game, save_game
 from .verify import AXIOMS, efficiency_rhs, verify_axioms
 
 
@@ -29,7 +29,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GameFormatError, ValueError, OSError) as exc:
+    # MemoryError: a table that a raised --limit admits but no machine can hold
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -52,21 +52,23 @@ class SizeLimitError(ValueError):
 
 
 def check_table_size(n: int, k: int, limit_bits: int | None = None) -> None:
-    """Fail fast if a dense (k+1)**n table would blow the size budget."""
+    """Fail fast if a dense (k+1)**n table would blow the size budget or numpy's index."""
     bits = DEFAULT_TABLE_BITS if limit_bits is None else _integer(limit_bits, "bit limit")
     n, k = _integer(n, "attribute count n"), _integer(k, "top level k")
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    # (k+1)^n >= 2^n, so an n above the limit is refused before it meets a float
-    if n > bits or n * math.log2(k + 1) > bits:
+    # numpy indexes fewer than 2^63 entries whatever the limit; from n = 63 on, the
+    # integer lower bound n*floor(log2(k+1)) >= n stands in, so n never meets a float
+    size_bits = n * math.log2(k + 1) if n < 63 else n * ((k + 1).bit_length() - 1)
+    if size_bits > bits or size_bits >= 63:
         # the exact count only up to 2^64 (3**(10**7) takes seconds to build, and past
         # 4,300 digits str() refuses it), then its bits while n fits a float, then the power
         count = (f"{k + 1}^{n}" if n >= 2**64 else (k + 1) ** n
-                 if (size_bits := n * math.log2(k + 1)) <= 64 else f"about 2^{size_bits:.0f}")
-        raise SizeLimitError(
-            f"table over {{0..{k}}}^{n} has (k+1)^n = {count} entries, "
-            f"beyond the {bits}-bit limit; raise the limit explicitly if intended"
-        )
+                 if (b := n * math.log2(k + 1)) <= 64 else f"about 2^{b:.0f}")
+        beyond = f", beyond the {bits}-bit limit" if size_bits > bits else ""
+        raise SizeLimitError(f"table over {{0..{k}}}^{n} has (k+1)^n = {count} entries{beyond}; "
+                             + ("raise the limit explicitly if intended" if size_bits < 63 else
+                                "numpy cannot index 2^63 entries or more, whatever the limit"))
 
 
 def check_query_size(
@@ -286,7 +288,7 @@ def extend_heterogeneous(
     expected = math.prod(ki + 1 for ki in k_list)
     raw = np.asarray(raw_values, dtype=np.float64)
     if raw.shape != (expected,):
-        raise ValueError(f"raw table length {raw.size}, expected {expected}")
+        raise ValueError(f"table length mismatch: got {raw.size} values, expected {expected}")
     # axis i-1 carries attribute i; a short axis reads its levels clamped to k_i
     grid = raw.reshape([ki + 1 for ki in k_list], order="F")
     for axis, ki in enumerate(k_list):

@@ -7,13 +7,17 @@ analogous mixed-radix order and is clamp-extended to the common
 k = max(k_i) on load: along each short axis (k_i < k) the levels above
 k_i read level k_i.  A uniform ``k`` is the list [k] * n, and both forms
 pass the size guard before any value is read.
+
+The loader checks only what JSON leaves open and the guard reads: the keys,
+and that ``true`` or a string is no number; the library checks the table's
+length and finiteness.  Every refusal of a document is a :class:`GameFormatError`,
+except the guard's ``SizeLimitError``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-import math
 from typing import IO
 
 from .game import MultichoiceGame, check_table_size, extend_heterogeneous
@@ -38,22 +42,35 @@ def load_game(
     with _opened(path_or_fp, "r") as fp:
         doc = _parse(fp)
 
-    n, k = doc["n"], doc["k"]
+    n, k, values = doc["n"], doc["k"], doc["values"]
+    # JSON true is a bool and "1.5" a str: Python and numpy would read both as numbers
     if not _is_int(n) or n < 1:
         raise GameFormatError(f'"n" must be a positive integer, got {n!r}')
-    if isinstance(k, list):
+    if isinstance(k, list):  # the guard reads max(k) as the top level of n attributes
         if len(k) != n:
             raise GameFormatError(f'"k" list has {len(k)} entries, expected n = {n}')
         if not all(_is_int(ki) and ki >= 1 for ki in k):
             raise GameFormatError(f'"k" list entries must be integers >= 1: {k}')
     elif not _is_int(k) or k < 1:
         raise GameFormatError(f'"k" must be an integer >= 1 or a list, got {k!r}')
-    check_table_size(n, max(k) if isinstance(k, list) else k, limit_bits)
-    k_list = k if isinstance(k, list) else [k] * n
+    check_table_size(n, max(k) if isinstance(k, list) else k, limit_bits)  # before [k] * n
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        raise GameFormatError('"values" must be an array of numbers')
 
-    expected = math.prod(ki + 1 for ki in k_list)
-    values, offset = _values_array(doc["values"], expected, normalize)
-    game = extend_heterogeneous(values, k_list, limit_bits=limit_bits)
+    # the library checks the length and finiteness; the table is shifted even without
+    # normalize, so that those refusals come before the zero-profile one
+    try:
+        table = np.asarray(values, dtype=np.float64)
+        offset = float(table[0]) if table.size else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # the constructor refuses inf and nan
+            table = table - offset if normalize or offset else table
+        game = extend_heterogeneous(table, k if isinstance(k, list) else [k] * n,
+                                    limit_bits=limit_bits)
+    except (ValueError, OverflowError) as exc:  # OverflowError: an integer past the float range
+        raise GameFormatError(f'"values": {exc}') from exc
+    if offset and not normalize:
+        raise GameFormatError(f"value at the zero profile is {offset!r}, not 0; "
+                              "pass --normalize to shift the table")
     if offset:  # the game's meta dict is its own: recorded without a second construction
         game.meta["v0_offset"] = offset
     return game
@@ -94,7 +111,8 @@ def _is_int(x) -> bool:
 def _parse(fp: IO[str]) -> dict:
     try:
         doc = json.load(fp)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested to decode
+    # ValueError: bad JSON, or an integer of too many digits; RecursionError: too deep
+    except (ValueError, RecursionError) as exc:
         raise GameFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise GameFormatError("top-level JSON value must be an object")
@@ -102,29 +120,3 @@ def _parse(fp: IO[str]) -> dict:
         if key not in doc:
             raise GameFormatError(f'missing required key "{key}"')
     return doc
-
-
-def _values_array(values, expected: int, normalize: bool) -> tuple[np.ndarray, float]:
-    """Validated value array plus the offset removed by normalization."""
-    # JSON true is a bool and "1.5" a str: numpy would read both as numbers
-    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
-        raise GameFormatError('"values" must be an array of numbers')
-    if len(values) != expected:
-        raise GameFormatError(
-            f"table length mismatch: got {len(values)} values, expected {expected}"
-        )
-    try:
-        arr = np.asarray(values, dtype=np.float64)
-    except OverflowError as exc:  # a JSON integer beyond the float range
-        raise GameFormatError('"values" must be finite numbers') from exc
-    if not np.all(np.isfinite(arr)):
-        raise GameFormatError('"values" must be finite numbers')
-    offset = float(arr[0])
-    if normalize:
-        arr = arr - arr[0]  # x - x is 0 for finite x
-    elif offset != 0.0:
-        raise GameFormatError(
-            f"value at the zero profile is {offset!r}, not 0; "
-            "pass --normalize to shift the table"
-        )
-    return arr, offset

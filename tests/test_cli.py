@@ -100,6 +100,14 @@ class TestInfo:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
+    def test_n_past_the_digit_limit_is_one_error_line(self, capsys, tmp_path):
+        # Python refuses to read a 5,000-digit integer: once a plain ValueError
+        path = tmp_path / "digits.json"
+        path.write_text('{"n": ' + "9" * 5_000 + ', "k": 1, "values": [0, 1]}')
+        code, out, err = run(capsys, "info", str(path))
+        assert code == 1 and out == "" and err.startswith("error: not valid JSON: ")
+        assert err.count("\n") == 1
+
     def test_nonzero_origin_without_normalize(self, capsys, tmp_path):
         path = tmp_path / "off.json"
         path.write_text(json.dumps({"n": 1, "k": 1, "values": [0.5, 1.0]}))
@@ -276,6 +284,20 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--trials", "1", "--n", str(10**400))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "beyond the 28-bit" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", str(10**399), "--limit", str(10**400)],  # past what numpy indexes
+            ["--axioms", "L", "--n", "50", "--k", "1", "--limit", "60"],  # an 8 PiB table
+        ],
+        ids=["n-past-numpy-index", "table-past-memory"],
+    )
+    def test_raised_limit_refusal_is_one_error_line(self, capsys, argv):
+        # once an OverflowError and a MemoryError, each with a traceback
+        code, out, err = run(capsys, "verify", "--trials", "1", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_finite_tolerance_is_the_verdict(self, capsys):
         # every gap exceeds a negative tolerance, and none of a random game's exceeds 1

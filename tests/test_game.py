@@ -311,6 +311,23 @@ class TestGameConstruction:
         with pytest.raises(SizeLimitError, match=r"\(k\+1\)\^n = 3\^18446744073709551616 entries"):
             check_table_size(2**64, 2)
 
+    @pytest.mark.parametrize(
+        "n, k, bits", [(10**400, 1, 10**401), (10**20, 1, 10**30), (63, 1, 100), (21, 7, 100)],
+        ids=["n-400-digits", "n-21-digits", "2^63", "8^21"],
+    )
+    def test_no_limit_admits_two_to_the_63_entries(self, n, k, bits):
+        # numpy cannot index such a table: a raised limit once let a 400-digit n meet
+        # a float (OverflowError) and admitted 2^(10^20) entries to random_game
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match=r"numpy cannot index 2\^63 entries") as info:
+            check_table_size(n, k, bits)
+        assert time.perf_counter() - start < 1.0
+        assert "raise the limit" not in str(info.value)
+
+    @pytest.mark.parametrize("n, k, bits", [(62, 1, 62), (21, 6, 100)])
+    def test_a_raised_limit_admits_tables_below_two_to_the_63(self, n, k, bits):
+        check_table_size(n, k, bits)
+
     def test_large_query_limit_is_cheap(self):
         # the length test decides before 2**bits would be built (a 12.5 MB integer here)
         start = time.perf_counter()

@@ -1,10 +1,13 @@
 import io
 import json
+import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import karycap.io as game_io
 from karycap import GameFormatError, MultichoiceGame, load_game, random_game, save_game
@@ -140,6 +143,66 @@ class TestLoad:
             path = write(tmp_path, {"n": n, "k": k, "values": [0.0]})
             with pytest.raises(SizeLimitError, match="entries, beyond the 28-bit limit"):
                 load_game(path)
+
+
+# JSON scalars that a document may hold where a number belongs, each to be refused
+# there or read as a number: most draws are valid, so that many documents load
+_ODD = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=3), st.integers(), st.floats(),
+    st.sampled_from([10**400, -(10**400), 2**63, math.inf, -math.inf, math.nan]),
+)
+
+
+@st.composite
+def _documents(draw):
+    """A game document as JSON text, near enough to valid that every check is reached."""
+    def rarely(bad, good):
+        return draw(bad) if draw(st.integers(0, 7)) == 0 else draw(good)
+
+    n = rarely(_ODD, st.integers(1, 3))
+    levels = n if type(n) is int and 0 < n < 4 else 2
+    k = rarely(st.one_of(_ODD, st.lists(st.integers(-1, 3), max_size=4)),
+               st.one_of(st.integers(1, 3), st.lists(st.integers(1, 3), min_size=levels,
+                                                      max_size=levels)))
+    ks = k if isinstance(k, list) else [k] * levels
+    small = all(type(ki) is int and 0 <= ki < 4 for ki in ks)
+    size = math.prod(ki + 1 for ki in ks) if small else 4
+    length = max(0, size + rarely(st.sampled_from([-1, 1]), st.just(0)))
+    values = draw(st.lists(st.one_of(st.integers(-3, 3), st.floats(-4, 4)),
+                           min_size=length, max_size=length))
+    if values:
+        values[draw(st.integers(0, length - 1))] = rarely(_ODD, st.integers(-1, 1))
+        values[0] = rarely(st.floats(-4, 4), st.just(0))  # a nonzero origin needs normalize
+    doc = {"n": n, "k": k, "values": values}
+    if draw(st.integers(0, 7)) == 0:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return json.dumps(doc)
+
+
+class TestFileBoundary:
+    """Every document loads or is refused as a format or size error, with no warning."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_documents(), st.booleans())
+    # Python refuses to read a 5,000-digit integer: once a plain ValueError
+    @example('{"n": ' + "9" * 5_000 + ', "k": 1, "values": [0, 1]}', False)
+    # a shift that overflows: once a RuntimeWarning, then a plain ValueError
+    @example(json.dumps({"n": 1, "k": 1, "values": [-1e308, 1e308]}), True)
+    # inf - inf is an invalid operation, and must not warn before it is refused
+    @example(json.dumps({"n": 1, "k": 1, "values": [math.inf, 1.0]}), True)
+    @example(json.dumps({"n": 2, "k": [1, 2], "values": [0.5, 1, 1, 2, 2, 3]}), True)
+    def test_load_returns_a_game_or_refuses(self, text, normalize):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                game = load_game(io.StringIO(text), normalize=normalize)
+            except (GameFormatError, SizeLimitError):
+                return
+            buf = io.StringIO()
+            save_game(game, buf)
+            again = load_game(io.StringIO(buf.getvalue()))
+        assert (again.n, again.k) == (game.n, game.k)
+        assert again.values.tobytes() == game.values.tobytes()
 
 
 class TestSaveRoundTrip:

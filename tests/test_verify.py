@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from itertools import product
@@ -432,6 +433,21 @@ class TestLemma4:
     def test_point_interval_is_single_term(self):
         report = check_lemma4(6)
         assert report.passed  # includes every a == b case
+
+    def test_a_failed_identity_is_reported(self, monkeypatch):
+        # a binomial off by one breaks every identity
+        comb = math.comb
+        monkeypatch.setattr(verify_module.math, "comb", lambda n, k: comb(n, k) + 1)
+        report = check_lemma4(4)
+        assert report.passed is False and report.trials == 10
+        subjects = [(a, b) for b in range(4) for a in range(b + 1)]
+        assert [f.subject for f in report.failures] == subjects
+        for failure in report.failures:
+            assert {type(failure.lhs), type(failure.rhs), type(failure.gap)} == {float}
+            # the gap is the exact difference, rounded once
+            assert failure.gap == pytest.approx(abs(failure.lhs - failure.rhs)) and failure.gap > 0
+        assert report.max_gap == max(f.gap for f in report.failures)
+        assert json.loads(json.dumps(report.as_dict()))["passed"] is False
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
