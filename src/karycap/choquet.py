@@ -17,14 +17,15 @@ implemented here as independent numerical checks, on top of the classical
 coalition mask, and one kernel extends a cell: its base value plus the
 Choquet integral of its increments.  The Monte-Carlo check reads each
 cell's corners as its base's flat index plus the corner offsets of the
-cell based at 0.  The summed capacity of all cells is a difference of
-two shifted boxes of the grid per coalition.
+cell based at 0.  The summed capacity of all cells is a box sum less
+its value at the empty coalition, with every axis contracted once into
+the sums of its levels 0..k-1 and 1..k, and the classical index is one
+S-difference of a k = 1 grid, each entry weighted by its coalition size.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -108,26 +109,21 @@ def choquet_kary(v: MultichoiceGame, z: Sequence[float]) -> float:
 def classical_interaction(
     v: MultichoiceGame, S: Iterable[int], limit_bits: int | None = None
 ) -> float:
-    """Interaction index of coalition S in a two-level (k = 1) game."""
+    """Interaction index of coalition S in a two-level (k = 1) game.
+
+    The sum, over the coalitions T outside S, of the S-difference of v at T
+    weighted by (n-t-s)! t! / (n-s+1)!, with t = |T| read from the open grid.
+    """
     if v.k != 1:
         raise ValueError(f"defined for k = 1 games only, got k = {v.k}")
     members = nonempty_members(S, v.n)
     n, s = v.n, len(members)
     check_query_size(query_cost("closed_form", n, v.k, s), limit_bits)
-    others = [p for p in range(n) if p + 1 not in set(members)]
-    inner_masks = [
-        ((-1.0) ** (s - a), sum(1 << (i - 1) for i in K))
-        for a in range(s + 1)
-        for K in combinations(members, a)
-    ]
-    terms = []
-    for t in range(len(others) + 1):
-        coeff = math.factorial(n - t - s) * math.factorial(t) / math.factorial(n - s + 1)
-        for Tset in combinations(others, t):
-            tmask = sum(1 << p for p in Tset)
-            inner = math.fsum(sign * v.values[tmask | kmask] for sign, kmask in inner_masks)
-            terms.append(coeff * inner)
-    return math.fsum(terms)
+    deltas = _diff(v.grid(), members)  # the axes of S have length 1, the others 2
+    size = sum(np.ix_(*map(np.arange, deltas.shape)))  # t, the popcount of T's mask
+    coeff = np.array([math.factorial(n - t - s) * math.factorial(t) / math.factorial(n - s + 1)
+                      for t in range(n - s + 1)])
+    return math.fsum((coeff[size] * deltas).ravel().tolist())
 
 
 def interaction_cellsum(
@@ -147,17 +143,17 @@ def interaction_cellsum(
 
 
 def _summed_capacity(v: MultichoiceGame) -> MultichoiceGame:
-    """Total of the section capacities of all k**n unit cells, as a k = 1 game."""
+    """Total of the section capacities of all k**n unit cells, as a k = 1 game.
+
+    Its value at coalition mask m is B(m) - B(0), where the box sum B(m)
+    adds the cell bases raised by one level on m.  Each axis is contracted
+    once: entry 0 sums levels 0..k-1 (the bases), entry 1 levels 1..k.
+    """
     n, k = v.n, v.k
-    grid = v.grid()
-    low = grid[(slice(0, k),) * n]  # the cell bases
-    # the summed capacity of coalition mask m: the cell bases raised by one on
-    # m, minus the bases, added up over the cells (difference first, then sum)
-    total = [
-        (grid[tuple(slice(m >> i & 1, k + (m >> i & 1)) for i in range(n))] - low).sum()
-        for m in range(2**n)
-    ]
-    return MultichoiceGame(n, 1, total)
+    box = v.grid()
+    for _ in range(n):  # the last axis each time, its two sums put in front
+        box = np.stack([box[..., :k].sum(axis=-1), box[..., 1:].sum(axis=-1)])
+    return MultichoiceGame.from_grid(box - box.flat[0])
 
 
 def _box_index(grid: np.ndarray, dims: Sequence[int]) -> np.ndarray:

@@ -29,8 +29,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    # MemoryError: a table that a raised --limit admits but no machine can hold
-    except (ValueError, OSError, MemoryError) as exc:
+    # MemoryError: a table that a raised --limit admits but no machine can hold;
+    # OverflowError: a sum that math.fsum cannot hold, from values near the float range
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -101,7 +101,7 @@ def query_cost(route: str, n: int, k: int, t: int = 0, m: int = 0) -> int:
     for one coalition of order t or, given m, for all C(n, t) of each order 1..m."""
     each = _COSTS[route]
     count = sum(math.comb(n, s) * each(n, k, s) for s in range(1, m + 1)) if m else each(n, k, t)
-    return count + k**n * 2**n if route == "cellsum" else count  # + summing the cells, once
+    return count + _COSTS["pass"](n, k, 0) if route == "cellsum" else count  # + the box sums
 
 
 def profiles(n: int, k: int) -> Iterator[LatticePoint]:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -19,7 +20,7 @@ from karycap import (
     section_capacity,
 )
 from karycap import choquet
-from karycap.choquet import _eval_in_cell
+from karycap.choquet import _eval_in_cell, _summed_capacity
 from karycap.game import GAME_KINDS
 from conftest import assert_close
 
@@ -290,6 +291,92 @@ class TestCellSum:
         )
         bound = 1e-12 * max(1.0, float(np.abs(v.values).max()))
         assert_close(interaction_cellsum(v, T), per_cell, bound)
+
+
+# the unit roundoff of a double: each error below is measured in u times the
+# total magnitude of the exact sum's terms, Σ|w·x|
+U = Fraction(1, 2**53)
+
+
+def exact_summed_capacity(v: MultichoiceGame) -> tuple[list[Fraction], list[Fraction]]:
+    """The summed capacity of v from its definition, in fractions: at mask m,
+    the total over the cell bases q of v(q + 1_m) - v(q), and its Σ|w·x|."""
+    grid, n, k = v.grid(), v.n, v.k
+    values, magnitudes = [], []
+    for m in range(2**n):
+        total = magnitude = Fraction(0)
+        for q in product(range(k), repeat=n):
+            hi = Fraction(grid[tuple(qi + (m >> i & 1) for i, qi in enumerate(q))])
+            lo = Fraction(grid[q])
+            total += hi - lo
+            magnitude += abs(hi) + abs(lo)
+        values.append(total)
+        magnitudes.append(magnitude)
+    return values, magnitudes
+
+
+def exact_classical_interaction(values, magnitudes, n: int, S) -> tuple[Fraction, Fraction]:
+    """The classical interaction index of S from its definition, in fractions:
+    the sum over T outside S of (n-t-s)! t! / (n-s+1)! times the alternating
+    sum over K within S of mu(T | K), and its Σ|w·x| over the given magnitudes."""
+    smask, s = sum(1 << (i - 1) for i in S), len(S)
+    total = magnitude = Fraction(0)
+    for T in range(2**n):
+        if T & smask:
+            continue
+        t = bin(T).count("1")
+        weight = Fraction(math.factorial(n - t - s) * math.factorial(t), math.factorial(n - s + 1))
+        for K in range(2**n):
+            if K & ~smask == 0:
+                total += (-1) ** (s - bin(K).count("1")) * weight * values[T | K]
+                magnitude += weight * magnitudes[T | K]
+    return total, magnitude
+
+
+def coalitions(n: int):
+    return (T for t in range(1, n + 1) for T in combinations(range(1, n + 1), t))
+
+
+def reference_games(n: int, k: int):
+    for seed in range(2):
+        for kind in GAME_KINDS:
+            yield random_game(seed, n, k, kind)
+        v = random_game(seed, n, k)
+        yield MultichoiceGame(n, k, v.values * 3.7e200)  # scaled far from 1
+        # large additive parts that every difference cancels, over small noise
+        yield MultichoiceGame(n, k, random_game(seed, n, k, "additive").values * 1e15 + v.values)
+
+
+class TestExactReference:
+    """Each cellsum route against its definition summed exactly, for n <= 4, k <= 3.
+
+    The stated bounds are first-order: the summed capacity adds k levels
+    per axis n times and subtracts once, n(k-1) + 1 <= n k roundings; the
+    classical index rounds s differences, the coefficient, its product and
+    the total, s + 3.  The largest errors met are under 2 units.
+    """
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 5) for k in range(1, 4)])
+    def test_summed_capacity_and_cellsum(self, n, k):
+        for v in reference_games(n, k):
+            values, magnitudes = exact_summed_capacity(v)
+            got = _summed_capacity(v).values
+            for m in range(2**n):
+                assert abs(Fraction(got[m]) - values[m]) <= n * k * U * magnitudes[m]
+            for T in coalitions(n):
+                want, magnitude = exact_classical_interaction(values, magnitudes, n, T)
+                bound = (n * k + len(T) + 3) * U * magnitude
+                assert abs(Fraction(interaction_cellsum(v, T)) - want) <= bound
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_classical_interaction(self, n):
+        # the k = 1 games, and the summed capacities of k = 3 games as tables
+        for mu in [*reference_games(n, 1), *map(_summed_capacity, reference_games(n, 3))]:
+            values = [Fraction(x) for x in mu.values]
+            for T in coalitions(n):
+                want, magnitude = exact_classical_interaction(values, list(map(abs, values)), n, T)
+                bound = (len(T) + 3) * U * magnitude
+                assert abs(Fraction(classical_interaction(mu, T)) - want) <= bound
 
 
 class TestIntegralCheck:

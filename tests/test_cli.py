@@ -452,6 +452,18 @@ class TestExitCodes:
             main([argv[0], min2_path, *argv[1:]])
         assert exc.value.code == 2
 
+    # numpy warns on the way: the pass and the sums run outside np.errstate
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("verb", ["importance", "verify"])
+    def test_overflowing_sum_is_one_error_line(self, capsys, tmp_path, verb):
+        # a table near the float range overflows math.fsum: once a traceback
+        path = str(tmp_path / "near.json")
+        save_game(MultichoiceGame(3, 2, random_game(3, 3, 2).values * 1.7e308), path)
+        code, out, err = run(capsys, verb, path)
+        assert code == 1 and out == ""
+        assert err == "error: intermediate overflow in fsum\n"
+
     def test_report_written_to_file(self, capsys, min2_path, tmp_path):
         out_path = str(tmp_path / "report.json")
         code, out, _ = run(capsys, "importance", min2_path, "--out", out_path)

@@ -667,14 +667,14 @@ class TestReport:
             interaction_recursive(random_game(0, 14, 1), range(1, 15), limit_bits=14)
 
     def test_cellsum_report_counts_every_coalition(self, monkeypatch):
-        # (k^n + C) * 2^n lookups: the summed capacity and one classical
-        # index per coalition, counted before the capacity is summed
+        # C * 2^n + max((k+1)^n, n 2^n) lookups: one classical index per
+        # coalition and the summed capacity, counted before it is summed
         def summed(v, limit_bits):
             raise AssertionError("summed before the guard")
 
         monkeypatch.setattr(indices, "_summed_capacity", summed)
         v = random_game(0, 11, 1)
-        with pytest.raises(SizeLimitError, match="needs 4194304 table lookups.*12-bit limit"):
+        with pytest.raises(SizeLimitError, match="needs 4214784 table lookups.*12-bit limit"):
             interaction_all_upto(v, 11, "cellsum", 12)
 
     def test_cellsum_report_matches_single_queries_bitwise(self):
@@ -723,7 +723,7 @@ class TestCostModel:
             (lambda b: interaction_recursive(v, T, b), query_cost("recursive", n, k, t),
              (k + 1) ** (n - t) * 2 * (2**t - 1), lookups),
             (lambda b: interaction_cellsum(v, T, b), query_cost("cellsum", n, k, t),
-             (k**n + 1) * 2**n, lookups),
+             2**n + max((k + 1) ** n, n * 2**n), lookups),
             (lambda b: classical_interaction(w, T, b), query_cost("closed_form", n, 1, t),
              2**n, lookups),
             (lambda b: _index_array(v, b), query_cost("pass", n, k),
@@ -737,7 +737,7 @@ class TestCostModel:
              query_cost("recursive", n, k, m=m),
              report(lambda s: (k + 1) ** (n - s) * 2 * (2**s - 1)), lookups),
             (lambda b: interaction_all_upto(v, m, "cellsum", b), query_cost("cellsum", n, k, m=m),
-             (k**n + served) * 2**n, lookups),
+             served * 2**n + max((k + 1) ** n, n * 2**n), lookups),
         ]
         for call, count, written, unit in routes:
             assert count == written
@@ -755,12 +755,12 @@ class TestCostModel:
         assert len(interaction_all_upto(random_game(0, 8, 3), 8, "closed_form", 16)) == 255
 
     def test_a_single_cellsum_query_is_counted_whole(self):
-        # the summed capacity and the classical index, (k^n + 1) 2^n lookups,
-        # as the order-1 report over the same coalition counts them
+        # the classical index and the summed capacity, 2^n + max((k+1)^n, n 2^n)
+        # lookups, as the order-1 report over the same coalition counts them
         v = random_game(1, 1, 1)
         for call in (lambda: interaction_cellsum(v, (1,), 1),
                      lambda: interaction_all_upto(v, 1, "cellsum", 1)):
             with pytest.raises(SizeLimitError, match="needs 4 table lookups.*1-bit"):
                 call()
-        with pytest.raises(SizeLimitError, match="needs 40 table lookups.*5-bit"):
-            interaction_cellsum(random_game(1, 2, 3), (1,), 5)
+        with pytest.raises(SizeLimitError, match="needs 20 table lookups.*4-bit"):
+            interaction_cellsum(random_game(1, 2, 3), (1,), 4)
