@@ -208,9 +208,13 @@ class MultichoiceGame:
     def from_function(
         cls, n: int, k: int, fn: Callable[[LatticePoint], float]
     ) -> "MultichoiceGame":
-        """Tabulate fn over the whole grid; fn must vanish at the zero profile."""
+        """Tabulate fn over the whole grid; fn must vanish at the zero profile.
+
+        fn is called once per profile, in table order, and its values stream into
+        the float64 table: the build holds that table and the constructor's copy.
+        """
         check_table_size(n, k)
-        return cls(n, k, np.array([fn(x) for x in profiles(n, k)], dtype=np.float64))
+        return cls(n, k, np.fromiter((fn(x) for x in profiles(n, k)), np.float64, (k + 1) ** n))
 
     def value(self, x: Sequence[int]) -> float:
         """Game value at profile x."""
@@ -235,8 +239,10 @@ class MultichoiceGame:
 def min_game(n: int, k: int) -> MultichoiceGame:
     """v(x) = min_i x_i; the standard fully conjunctive example."""
     check_table_size(n, k)
-    levels = np.ix_(*map(np.arange, (k + 1,) * n))  # attribute i's levels, along axis i-1
-    return MultichoiceGame.from_grid(functools.reduce(np.minimum, levels))
+    levels = np.ix_(*(np.arange(k + 1.0),) * n)  # attribute i's levels, along axis i-1
+    # float levels, and the transpose of the symmetric minimum, which is column-major:
+    # from_grid neither converts nor copies the grid
+    return MultichoiceGame.from_grid(functools.reduce(np.minimum, levels).T)
 
 
 def _diff(a: np.ndarray, T: Iterable[int]) -> np.ndarray:
@@ -386,7 +392,9 @@ def random_game(
     accumulates nonnegative increments over the grid and rescales to a
     top value of exactly 1, so the result is always a k-ary capacity.
     ``additive`` draws per-attribute weights w_i on [0, 1) and sets
-    v(x) = sum_i w_i * x_i.
+    v(x) = sum_i w_i * x_i.  A build of any kind holds two tables at its
+    peak, its own and the constructor's copy: ``monotone`` sums and rescales
+    its increments in place.
     """
     if kind not in GAME_KINDS:
         raise ValueError(f"kind must be one of {GAME_KINDS}, got {kind!r}")
@@ -398,13 +406,12 @@ def random_game(
         vals = rng.uniform(-1.0, 1.0, size)
         vals[0] = 0.0
     elif kind == "monotone":
-        inc = rng.uniform(0.0, 1.0, size)
-        inc[0] = 0.0
-        grid = inc.reshape((k + 1,) * n)
+        vals = rng.uniform(0.0, 1.0, size)  # the increments, summed in place
+        vals[0] = 0.0
+        grid = vals.reshape((k + 1,) * n)
         for ax in range(n):
-            grid = np.cumsum(grid, axis=ax)
-        vals = grid.ravel()
-        vals = vals / vals[-1]
+            np.cumsum(grid, axis=ax, out=grid)
+        vals /= vals[-1]
     else:  # additive
         weights = rng.uniform(0.0, 1.0, n)
         levels = np.ix_(*map(np.arange, (k + 1,) * n))  # attribute i's levels, along axis i-1

@@ -464,6 +464,30 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "error: intermediate overflow in fsum\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["interaction", "--order", "2"],
+            ["interaction", "--set", "1,2", "--method", "derivative_sum"],
+            ["interaction", "--set", "1,2", "--method", "recursive"],
+            ["interaction", "--order", "2", "--method", "cellsum"],
+            ["importance"],
+            ["verify", "--trials", "1"],
+            ["integral-check", "--set", "1", "--samples", "50"],
+            ["info"],
+        ],
+        ids=["order-2", "derivative_sum", "recursive", "cellsum", "importance", "verify",
+             "integral-check", "info"],
+    )
+    def test_a_table_near_the_float_range_is_one_error_line(self, capsys, tmp_path, argv):
+        # its differences overflow: once NaN and Infinity on stdout with exit 0, or
+        # numpy's RuntimeWarnings before the error line (the test settings raise those)
+        path = str(tmp_path / "near.json")
+        save_game(MultichoiceGame(3, 2, random_game(3, 3, 2).values * 1.7e308), path)
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_report_written_to_file(self, capsys, min2_path, tmp_path):
         out_path = str(tmp_path / "report.json")
         code, out, _ = run(capsys, "importance", min2_path, "--out", out_path)

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -94,6 +95,44 @@ class TestGridHelpers:
         seen = []
         MultichoiceGame.from_function(2, 2, lambda x: seen.append(x) or 0.0)
         assert seen == list(profiles(2, 2))
+
+
+class TestFromFunction:
+    """``from_function`` converts each value of ``fn`` as a float64 array of them does."""
+
+    RATINGS = {
+        "int": lambda x: 2 * x[0] + x[2],
+        "Fraction": lambda x: Fraction(sum(x), 3),
+        "float32": lambda x: np.float32(sum(x) / 3),
+        "bool": any,
+    }
+
+    @pytest.mark.parametrize("rating", RATINGS)
+    def test_value_types_match_a_float64_array(self, rating):
+        fn = self.RATINGS[rating]
+        want = np.array([fn(x) for x in profiles(3, 2)], dtype=np.float64)
+        assert MultichoiceGame.from_function(3, 2, fn).values.tobytes() == want.tobytes()
+
+    def test_none_is_refused_as_not_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            MultichoiceGame.from_function(2, 2, lambda x: None)
+
+    @pytest.mark.parametrize("value", ["abc", [0.5]], ids=["str", "list"])
+    def test_a_value_that_is_not_a_number_is_refused(self, value):
+        with pytest.raises(ValueError):
+            MultichoiceGame.from_function(2, 2, lambda x: value if any(x) else 0.0)
+
+    def test_an_exception_in_fn_propagates_unchanged(self):
+        raised = LookupError("no rating")
+
+        def fn(x):
+            if x == (1, 1):
+                raise raised
+            return 0.0
+
+        with pytest.raises(LookupError) as info:
+            MultichoiceGame.from_function(2, 2, fn)
+        assert info.value is raised
 
 
 def mixed_radix_index(x, k_list):
@@ -588,11 +627,33 @@ class TestBuildMemory:
         # the first calls in a process set up numpy state that is not the build's
         min_game(2, 1)
         random_game(0, 2, 1, "additive")
-        assert self.peak(lambda: min_game(n, 1)) < 5 * table
-        assert self.peak(lambda: random_game(0, n, 1, "additive")) < 5 * table
+        assert self.peak(lambda: min_game(n, 1)) < 2.5 * table
+        assert self.peak(lambda: random_game(0, n, 1, "additive")) < 2.5 * table
         v = random_game(0, n, 1)
         _classes.cache_clear()
         assert self.peak(lambda: importance(v, 1)) < 4 * table
+
+    @pytest.mark.parametrize("n, k", [(16, 1), (18, 1), (10, 3)])
+    def test_a_build_holds_its_table_and_the_constructor_copy(self, n, k):
+        # 2.1 tables: the built one and the constructor's private copy
+        table = 8 * (k + 1) ** n
+        MultichoiceGame.from_function(2, 1, lambda x: 0.0)
+        for kind in GAME_KINDS:
+            random_game(0, 2, 1, kind)
+            assert self.peak(lambda: random_game(0, n, k, kind)) < 2.5 * table, kind
+        assert self.peak(lambda: MultichoiceGame.from_function(n, k, lambda x: x[0])) < 2.5 * table
+        assert self.peak(lambda: min_game(n, k)) < 2.5 * table
+
+    @pytest.mark.parametrize("n, k", [(1, 3), (3, 2), (4, 3), (10, 1)])
+    def test_monotone_sums_in_place_as_out_of_place_cumsum_does(self, n, k):
+        for seed in range(3):
+            inc = np.random.default_rng(seed).uniform(0.0, 1.0, (k + 1) ** n)
+            inc[0] = 0.0
+            grid = inc.reshape((k + 1,) * n)
+            for ax in range(n):
+                grid = np.cumsum(grid, axis=ax)
+            want = grid.ravel() / grid.ravel()[-1]
+            assert random_game(seed, n, k, "monotone").values.tobytes() == want.tobytes()
 
 
 class TestPermutation:
