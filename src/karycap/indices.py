@@ -39,10 +39,10 @@ axis with D if the attribute is in U and with P otherwise,
 the multichoice form of Grabisch's Moebius formula (1997).
 :func:`_index_array` contracts ``v.grid()`` once per axis through basic
 slices, sweeps |U - T| through the 2^n result as a leading axis of
-degree rows, and weighs row d by 1 / (d + 1): every all-coalition
-closed-form request, :mod:`karycap.verify`'s axioms included, reads that
-one pass through :func:`interaction_all_upto`, while the per-coalition
-closed form above stays the reference.
+degree rows, and weighs row d by 1 / (d + 1), for a stack of games of one
+shape at once: every all-coalition closed-form request reads that one pass,
+:func:`interaction_all_upto` for one game and :mod:`karycap.verify`'s axioms
+for a stack, while the per-coalition closed form above stays the reference.
 """
 
 from __future__ import annotations
@@ -151,34 +151,51 @@ def _layout(n: int, m: int) -> tuple[tuple[Coalition, ...], np.ndarray]:
     return coalitions, masks
 
 
-def _index_array(v: MultichoiceGame, limit_bits: int | None = None) -> np.ndarray:
+def _index_array(
+    v: MultichoiceGame | Sequence[MultichoiceGame], limit_bits: int | None = None
+) -> np.ndarray:
     """Closed-form index of every coalition at once, by coalition mask.
 
     Returns a flat array of 2^n entries whose entry ``_mask(T)`` is I(T);
-    entry 0 is not an index.  See the module docstring for the sweep.
+    entry 0 is not an index.  Given a list of games of one shape, one pass
+    over their stacked tables returns one such row per game, each the same
+    as the game's own pass.  See the module docstring for the sweep.
     """
-    n, k = v.n, v.k
+    games = [v] if isinstance(v, MultichoiceGame) else v
+    n, k, b = games[0].n, games[0].k, len(games)
     check_query_size(query_cost("pass", n, k), limit_bits)
+    # the games lead (a lone game's table is read in place), then axes n..1 reversed:
+    # each table keeps its own order, so every grid of the stack is a game's v.grid()
+    axes = (0, *range(n, 0, -1))
+    values = games[0].values if b == 1 else np.stack([g.values for g in games])
+    h = values.reshape((b,) + (k + 1,) * n).transpose(axes)
     # each axis: its entry 0 sums levels 0..k-1 (row P), entry 1 is top minus bottom (D);
     # numpy sums k >= 8 entries pairwise along the fastest axis and in sequence along
     # any other, so h is kept in C order to fix the rounding of each sum
-    h = v.grid()
-    for ax in range(n):
+    for ax in range(1, n + 1):
         lead = (slice(None),) * ax
         h = np.concatenate([h[lead + (slice(0, k),)].sum(axis=ax, keepdims=True),
                             h[lead + (slice(k, k + 1),)] - h[lead + (slice(0, 1),)]],
-                           axis=ax, out=np.empty((2,) * (ax + 1) + (k + 1,) * (n - ax - 1)))
+                           axis=ax, out=np.empty((b,) + (2,) * ax + (k + 1,) * (n - ax)))
     # row d at T sums h(U) over the U containing T with |U - T| = d: on each
     # axis, entry 0 (i not in T) gains entry 1 (i in U) one degree up
     g = np.zeros((n,) + h.shape)
     g[0] = h
-    for ax in range(n):
+    for ax in range(1, n + 1):
         lead = (slice(None),) * ax
         g[(slice(1, None), *lead, 0)] += g[(slice(0, -1), *lead, 1)]
     index = g[0]
     for d in range(1, n):
         index += g[d] / (d + 1)
-    return index.ravel(order="F")
+    rows = index.transpose(axes).reshape(b, 2**n)
+    return rows[0] if v is not games else rows
+
+
+def _served(games: Sequence[MultichoiceGame], m: int, limit_bits: int | None) -> list[dict]:
+    """The closed-form report of order 1..m of each of ``games`` (one shape), from one pass."""
+    rows, n = _index_array(games, limit_bits), games[0].n
+    coalitions, masks = (_layout if n <= _CACHED_LAYOUT_N else _layout.__wrapped__)(n, m)
+    return [dict(zip(coalitions, row)) for row in rows[:, masks].tolist()]
 
 
 def importance(v: MultichoiceGame, i: int, limit_bits: int | None = None) -> float:
@@ -304,9 +321,7 @@ def interaction_all_upto(
     if not 1 <= m <= n:
         raise ValueError(f"max order {m} outside 1..{n}")
     if method == "closed_form":
-        index = _index_array(v, limit_bits)
-        coalitions, masks = (_layout if n <= _CACHED_LAYOUT_N else _layout.__wrapped__)(n, m)
-        return dict(zip(coalitions, index[masks].tolist()))
+        return _served([v], m, limit_bits)[0]
     if method in METHODS:
         check_query_size(query_cost(method, n, v.k, m=m), limit_bits)
     if method == "cellsum":

@@ -6,10 +6,11 @@ seeded randomized check.  The axiom's builder draws the partners its
 equation talks about and lists the games the equation reads.  One driver,
 :func:`verify_axioms`, indexes each game by what
 ``interaction_all_upto(..., "closed_form")`` serves the CLI's importance
-and interaction verbs (one all-coalition pass per game, keyed by
-coalition), records both sides of every equation over those tables, and
-re-checks the first game's table against the per-coalition closed form
-of :func:`~karycap.indices.importance` and
+and interaction verbs (the same all-coalition pass, keyed by coalition,
+made once for each run of an axiom's games of one shape), records both
+sides of every equation over those tables, and re-checks the first game's
+table against the per-coalition closed form of
+:func:`~karycap.indices.importance` and
 :func:`~karycap.indices.interaction` at one drawn attribute and one
 drawn coalition.  Reports collect every violation above tolerance, so a
 passing report means the whole trial batch stayed within bounds.
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -31,19 +31,25 @@ from .game import (
     _seed,
     _tolerance,
     add_games,
+    check_query_size,
     check_table_size,
     members_tuple,
     permute_attributes,
+    query_cost,
     random_game,
     restrict_absent,
     restrict_present_top,
 )
-from .indices import importance, interaction, interaction_all_upto
+from .indices import _served, importance, interaction
 
 AXIOMS = ("L", "N", "I", "S", "E", "R")
 
 #: Largest coalition size exercised per trial.
 MAX_ORDER = 3
+
+# games of one shape share a pass while their passes' guard counts add up to at
+# most this many lookups; a larger game is indexed alone
+_STACK_LOOKUPS = 2**16
 
 
 @dataclass
@@ -68,9 +74,10 @@ class VerificationReport:
     def record(self, tol: float, seed: int, subject: tuple, lhs: float, rhs: float) -> None:
         gap = abs(lhs - rhs)
         self.max_gap = max(self.max_gap, gap)
-        if gap > tol:
+        if not gap <= tol:  # a NaN gap fails too, and stays the largest
             self.failures.append(Failure(seed, subject, lhs, rhs, gap))
             self.passed = False
+            self.max_gap = gap if gap != gap else self.max_gap
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -134,15 +141,17 @@ def verify_axioms(
     trial's base game; a non-finite ``tol`` is rejected.  The largest gap between
     a table served by ``interaction_all_upto(..., "closed_form")`` and the
     per-coalition closed form at the re-checked coalitions is
-    ``closed_form_gap``; above the same tolerance it fails the report.
+    ``closed_form_gap``; above the same tolerance, or NaN, it fails the report.
     ``limit_bits`` overrides the size guards of every game built, of the
     all-coalition pass made for each and of the closed-form queries.
     Every argument is checked before the first trial.
 
     Each trial's base game is built once and indexed at most once for all
-    the axioms.  Every axiom reads the trial's stream from the point after
-    the base game's draw, as a run of that axiom alone does, so each report
-    equals :func:`verify_axiom`'s.
+    the axioms.  An axiom's games of one shape share one pass, as long as
+    their passes' guard counts add up to at most 2^16 lookups.  Every axiom
+    reads the trial's stream from the point after the base game's draw, as
+    a run of that axiom alone does, so each report equals
+    :func:`verify_axiom`'s.
     Deterministic for a given (axioms, trials, seed, n, k, game).
     """
     axioms = tuple(axioms)
@@ -181,13 +190,7 @@ def verify_axioms(
         for report in reports:
             rng.bit_generator.state = after_base
             games, equations = _BUILDERS[report.axiom](rng, v, limit_bits)
-            games = iter(games)
-            checked = next(games)  # the game whose table the trial re-checks
-            # R's games are built as they are reached and freed once indexed
-            tables = [
-                iv if g is v and iv is not None else _indexed(g, limit_bits)
-                for g in chain((checked,), games)
-            ]
+            checked, tables = _index_games(games, v, iv, limit_bits)
             iv = tables[0] if checked is v else iv
             for subject, lhs, rhs in equations(*tables):
                 report.record(scaled_tol, ts, subject, lhs, rhs)
@@ -215,9 +218,32 @@ def verify_axiom(
     return verify_axioms((axiom,), trials, seed, n, k, tol, game, limit_bits)[0]
 
 
-def _indexed(v, bits):
-    # every index an axiom reads, as served to the importance and interaction verbs
-    return interaction_all_upto(v, min(MAX_ORDER, v.n), "closed_form", bits)
+def _index_games(games, v, iv, bits):
+    # the first game and every game's table, in order, as the importance and interaction
+    # verbs serve them: games of one shape in a row share one pass while the stack stays
+    # within _STACK_LOOKUPS, each meets the pass guard as it is reached, and v's table iv,
+    # once made, is reused; R's games are built as they are reached and freed once indexed
+    first, tables, stack = None, [], []
+
+    def index_stack():
+        tables.extend(_served(stack, min(MAX_ORDER, stack[0].n), bits))
+        stack.clear()
+
+    for g in games:
+        first = g if first is None else first
+        if g is v and iv is not None:  # v is listed first, so no stack is open
+            tables.append(iv)
+            continue
+        if stack and (g.n, g.k) != (stack[0].n, stack[0].k):
+            index_stack()
+        cost = query_cost("pass", g.n, g.k)
+        check_query_size(cost, bits)
+        stack.append(g)
+        if (len(stack) + 1) * cost > _STACK_LOOKUPS:  # the next game would not fit
+            index_stack()
+    if stack:
+        index_stack()
+    return first, tables
 
 
 def _check_closed_form(report, rng, v, iv, tol, bits):
@@ -225,10 +251,11 @@ def _check_closed_form(report, rng, v, iv, tol, bits):
     # attribute and one drawn coalition of the largest order checked
     i = int(rng.integers(1, v.n + 1))
     T = tuple(sorted(int(j) + 1 for j in rng.choice(v.n, min(v.n, MAX_ORDER), replace=False)))
-    gap = max(abs(importance(v, i, bits) - iv[(i,)]), abs(interaction(v, T, bits) - iv[T]))
-    report.closed_form_gap = max(report.closed_form_gap, gap)
-    if gap > tol:
-        report.passed = False
+    for gap in (abs(importance(v, i, bits) - iv[(i,)]), abs(interaction(v, T, bits) - iv[T])):
+        report.closed_form_gap = max(report.closed_form_gap, gap)
+        if not gap <= tol:  # a NaN gap fails too, and stays the largest
+            report.passed = False
+            report.closed_form_gap = gap if gap != gap else report.closed_form_gap
 
 
 # A builder (rng, v, bits) -> (games, equations) draws from rng and lists the games
@@ -271,7 +298,8 @@ def _efficiency(rng, v, bits):
 
 
 def _recursion(rng, v, bits):
-    def restricted():  # each built when the driver reaches it
+    def games():  # each restriction built when the driver reaches it
+        yield v
         for i in range(1, v.n + 1):
             yield restrict_present_top(v, i)
             yield restrict_absent(v, (i,))
@@ -285,7 +313,7 @@ def _recursion(rng, v, bits):
                 rest = tuple(j - 1 if j > i else j for j in T if j != i)
                 yield T + ("drop", i), iv[T], tops[i - 1][rest] - absents[i - 1][rest]
 
-    return chain((v,), restricted()), equations
+    return games(), equations
 
 
 _BUILDERS = {

@@ -9,11 +9,17 @@ and discrete derivatives from the one-step recursion.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
-from karycap import MultichoiceGame, min_game
+from karycap import MultichoiceGame, min_game, random_game
+from karycap.game import GAME_KINDS
+
+# the unit roundoff of a double: each error against an exact reference is
+# measured in u times the total magnitude of the exact sum's terms, Σ|w·x|
+U = Fraction(1, 2**53)
 
 
 @pytest.fixture
@@ -97,3 +103,14 @@ def delta_recursive(v: MultichoiceGame, T: tuple[int, ...], x) -> float:
 
 def assert_close(a: float, b: float, tol: float = 1e-9) -> None:
     assert abs(a - b) <= tol, f"|{a} - {b}| = {abs(a - b)} > {tol}"
+
+
+def reference_games(n: int, k: int):
+    """Seeded games of each kind, one scaled far from 1 and one whose differences cancel."""
+    for seed in range(2):
+        for kind in GAME_KINDS:
+            yield random_game(seed, n, k, kind)
+        v = random_game(seed, n, k)
+        yield MultichoiceGame(n, k, v.values * 3.7e200)  # scaled far from 1
+        # large additive parts that every difference cancels, over small noise
+        yield MultichoiceGame(n, k, random_game(seed, n, k, "additive").values * 1e15 + v.values)

@@ -22,7 +22,7 @@ from karycap import (
 from karycap import choquet
 from karycap.choquet import _eval_in_cell, _summed_capacity
 from karycap.game import GAME_KINDS
-from conftest import assert_close
+from conftest import U, assert_close, reference_games
 
 
 def choquet_oracle(mu: MultichoiceGame, w) -> float:
@@ -293,11 +293,6 @@ class TestCellSum:
         assert_close(interaction_cellsum(v, T), per_cell, bound)
 
 
-# the unit roundoff of a double: each error below is measured in u times the
-# total magnitude of the exact sum's terms, Σ|w·x|
-U = Fraction(1, 2**53)
-
-
 def exact_summed_capacity(v: MultichoiceGame) -> tuple[list[Fraction], list[Fraction]]:
     """The summed capacity of v from its definition, in fractions: at mask m,
     the total over the cell bases q of v(q + 1_m) - v(q), and its Σ|w·x|."""
@@ -335,16 +330,6 @@ def exact_classical_interaction(values, magnitudes, n: int, S) -> tuple[Fraction
 
 def coalitions(n: int):
     return (T for t in range(1, n + 1) for T in combinations(range(1, n + 1), t))
-
-
-def reference_games(n: int, k: int):
-    for seed in range(2):
-        for kind in GAME_KINDS:
-            yield random_game(seed, n, k, kind)
-        v = random_game(seed, n, k)
-        yield MultichoiceGame(n, k, v.values * 3.7e200)  # scaled far from 1
-        # large additive parts that every difference cancels, over small noise
-        yield MultichoiceGame(n, k, random_game(seed, n, k, "additive").values * 1e15 + v.values)
 
 
 class TestExactReference:

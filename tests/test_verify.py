@@ -13,6 +13,7 @@ from karycap import (
     check_lemma4,
     importance,
     interaction,
+    interaction_all_upto,
     min_game,
     random_game,
     verify_axiom,
@@ -207,35 +208,54 @@ class TestVerifyAxiom:
                 verify_axiom("E", 2, 11, 3, 2, tol=tol)
 
     @pytest.mark.parametrize(
-        "axiom, games",
-        [("L", lambda n: 3), ("N", lambda n: 1), ("I", lambda n: 2),
-         ("S", lambda n: 2), ("E", lambda n: 1), ("R", lambda n: 1 + 2 * n)],
+        "axiom, stacks",
+        [("L", lambda n: [3]), ("N", lambda n: [1]), ("I", lambda n: [2]),
+         ("S", lambda n: [2]), ("E", lambda n: [1]), ("R", lambda n: [1, 2 * n])],
     )
-    def test_one_index_array_per_game(self, monkeypatch, axiom, games):
-        # every game a check builds is indexed once, and through the guard
+    def test_one_index_array_per_game(self, monkeypatch, axiom, stacks):
+        # every game a check builds is indexed once per trial, through the guard, in one
+        # stacked pass per shape: R's v, then its 2n restrictions
         calls = []
 
         def counted(v, limit_bits=None):
-            calls.append(limit_bits)
+            calls.append((len(v), limit_bits))
             return _index_array(v, limit_bits)
 
         monkeypatch.setattr("karycap.indices._index_array", counted)
         for n in (2, 4):
             calls.clear()
             verify_axiom(axiom, 3, 5, n, 3, limit_bits=20)
-            assert calls == [20] * (3 * games(n))
+            assert calls == [(games, 20) for games in stacks(n)] * 3
 
     def test_the_served_table_is_what_is_checked(self, monkeypatch):
-        # a skew in what interaction_all_upto serves reaches the axiom equations
-        served = verify_module.interaction_all_upto
+        # a skew in the pass that the driver shares with interaction_all_upto
+        # reaches the axiom equations
+        def skewed(v, limit_bits=None):
+            rows = _index_array(v, limit_bits)
+            return rows + 1e-3 * (np.array([m.bit_count() for m in range(rows.shape[-1])]) >= 2)
 
-        def skewed(*args):
-            return {T: x + 1e-3 * (len(T) >= 2) for T, x in served(*args).items()}
-
-        monkeypatch.setattr(verify_module, "interaction_all_upto", skewed)
+        monkeypatch.setattr("karycap.indices._index_array", skewed)
+        v = random_game(3, 3, 2)
+        assert interaction_all_upto(v, 2)[(1, 2)] == _index_array(v)[0b11] + 1e-3
         report = verify_axiom("N", 2, 3, 3, 2)
         assert not report.passed and report.failures
         assert all(len(f.subject) >= 2 for f in report.failures)
+
+    def test_a_nan_gap_fails_and_is_recorded(self, monkeypatch):
+        # NaN compares false with every tolerance, so a gap passes only if it is <= tol
+        report = verify_module.VerificationReport("E", 1)
+        report.record(1e-9, 0, (1,), math.nan, 0.0)
+        report.record(1e-9, 0, (2,), 1.0, 1.0)
+        assert not report.passed and math.isnan(report.max_gap)
+        assert [f.subject for f in report.failures] == [(1,)]
+        assert math.isnan(report.failures[0].gap)
+        # the re-check's gaps too, the importance's and the interaction's
+        for name in ("importance", "interaction"):
+            monkeypatch.setattr(verify_module, name, lambda v, T, bits=None: math.nan)
+            report = verify_axiom("S", 2, 3, 3, 2)
+            assert not report.passed and report.failures == []
+            assert math.isnan(report.closed_form_gap)
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("axiom", AXIOMS)
     def test_two_closed_form_queries_per_trial(self, monkeypatch, axiom):
@@ -353,27 +373,51 @@ class TestVerifyAxioms:
 
     @pytest.mark.parametrize("given", [False, True])
     def test_each_game_is_built_and_indexed_once_per_trial(self, monkeypatch, given):
-        # the base game is shared; L's partner is the only other random game, and
-        # the passes are v, L's partner and sum, N's extension, I's and S's
-        # partners, and R's 2n restrictions
-        games, passes = [], []
+        # the base game is shared; L's partner is the only other random game.  The
+        # stacked passes are L's v, partner and sum, N's extension, I's and S's
+        # partners, and R's 2n restrictions: E and R read v's table from L's pass
+        games, passes, guarded = [], [], []
         build = verify_module.random_game
+        guard = verify_module.check_query_size
 
         def built(*args):
             games.append(args)
             return build(*args)
 
         def indexed(v, limit_bits=None):
-            passes.append(limit_bits)
+            passes.append((len(v), limit_bits))
             return _index_array(v, limit_bits)
+
+        def checked(count, limit_bits=None):
+            guarded.append((count, limit_bits))
+            return guard(count, limit_bits)
 
         monkeypatch.setattr(verify_module, "random_game", built)
         monkeypatch.setattr("karycap.indices._index_array", indexed)
+        monkeypatch.setattr(verify_module, "check_query_size", checked)
         n, trials = 5, 3
         game = random_game(7, n, 3) if given else None
         assert all(r.passed for r in verify_axioms(AXIOMS, trials, 9, n, 3, game=game, limit_bits=20))
         assert len(games) == (1 if given else 2) * trials
-        assert passes == [20] * ((6 + 2 * n) * trials)
+        assert passes == [(3, 20), (1, 20), (1, 20), (1, 20), (2 * n, 20)] * trials
+        # each game meets the pass guard as the driver reaches it: 4^5 lookups for
+        # v, its partners and the sum, 4^6 for the extension, 4^4 per restriction
+        each = [4**5] * 3 + [4**6] + [4**5] * 2 + [4**4] * (2 * n)
+        assert guarded == [(count, 20) for count in each] * trials
+
+    @pytest.mark.parametrize("n, k, tables", [(9, 3, 2.52), (16, 1, 19.0)])
+    def test_one_trial_of_r_holds_what_one_game_at_a_time_held(self, n, k, tables):
+        # a game whose pass alone counts more than half the stack budget is indexed
+        # alone, so R's restrictions are still built one at a time: the peak stays
+        # within 10% of a one-game-per-pass driver's, given in tables of v
+        verify_axiom("R", 1, 0, 3, 2)
+        tracemalloc.start()
+        try:
+            verify_axiom("R", 1, 3, n, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * tables * 8 * (k + 1) ** n
 
     def test_the_base_game_is_re_checked_except_under_N(self, monkeypatch):
         # the re-check reads the first game a check lists: v, or N's extension
