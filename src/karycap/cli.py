@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .choquet import choquet_kary, integral_check
-from .game import MultichoiceGame, _tolerance, is_kary_capacity
+from .game import MultichoiceGame, _finite, is_kary_capacity
 from .indices import METHODS, interaction, interaction_all_upto, interaction_by_method
 from .io import load_game, save_game
 from .verify import AXIOMS, efficiency_rhs, verify_axioms
@@ -59,7 +59,7 @@ def _point(text: str) -> list[float]:
 
 def _tol(text: str) -> float:
     try:
-        _tolerance(tol := float(text))
+        _finite(tol := float(text), "tolerance")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
     return tol

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from itertools import product
@@ -139,12 +140,13 @@ def _seed(seed) -> int:
     return seed
 
 
-def _tolerance(tol: float) -> None:
-    # no gap exceeds nan or inf, and every gap exceeds -inf: the check would decide nothing
-    if math.isnan(tol):
-        raise ValueError("tolerance nan is not a number")
-    if math.isinf(tol):
-        raise ValueError(f"tolerance {tol} is not finite")
+def _finite(x, what: str) -> None:
+    # no gap exceeds a nan or inf tolerance, and every gap exceeds -inf: a check would decide
+    # nothing; a factor that is not a finite number would leave no finite table
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{what} {x!r} is not a number")
+    if not math.isfinite(x):
+        raise ValueError(f"{what} {x} is " + ("not a number" if math.isnan(x) else "not finite"))
 
 
 def members_tuple(T: Iterable[int], n: int) -> Coalition:
@@ -306,7 +308,7 @@ def extend_heterogeneous(
 
 def is_kary_capacity(v: MultichoiceGame, tol: float = 1e-9) -> bool:
     """True iff v is nondecreasing along every +1 step (within a finite tol) and v(top) = 1."""
-    _tolerance(tol)
+    _finite(tol, "tolerance")
     grid = v.grid()
     for ax in range(v.n):
         steps = np.diff(grid, axis=ax)
@@ -373,10 +375,12 @@ def permute_attributes(v: MultichoiceGame, sigma: Sequence[int]) -> MultichoiceG
 
 
 def add_games(v: MultichoiceGame, w: MultichoiceGame, alpha: float = 1.0) -> MultichoiceGame:
-    """Pointwise combination v + alpha * w on a common grid."""
+    """Pointwise combination v + alpha * w on a common grid, alpha a finite number."""
+    _finite(alpha, "alpha")
     if (v.n, v.k) != (w.n, w.k):
         raise ValueError("games live on different grids")
-    return MultichoiceGame(v.n, v.k, v.values + alpha * w.values)
+    with np.errstate(over="ignore"):  # the constructor refuses an overflow, with no warning
+        return MultichoiceGame(v.n, v.k, v.values + alpha * w.values)
 
 
 def random_game(

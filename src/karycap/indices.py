@@ -20,7 +20,8 @@ rounds their total once whatever their order.
 
 Two independently computable forms are provided as cross-checks: a sum
 of discrete derivatives over all unit cells, and an expansion through
-reduced games where a coalition moves as a single macro attribute.
+reduced games where a coalition moves as a single macro attribute, each
+reduced game read as two slices of the grid (its macro levels 0 and k).
 
 The index of every coalition at once comes from a Beta integral of the
 class coefficient,
@@ -66,7 +67,6 @@ from .game import (
     members_tuple,
     nonempty_members,
     query_cost,
-    reduce_group,
     support,
 )
 
@@ -151,17 +151,13 @@ def _layout(n: int, m: int) -> tuple[tuple[Coalition, ...], np.ndarray]:
     return coalitions, masks
 
 
-def _index_array(
-    v: MultichoiceGame | Sequence[MultichoiceGame], limit_bits: int | None = None
-) -> np.ndarray:
-    """Closed-form index of every coalition at once, by coalition mask.
+def _index_array(games: Sequence[MultichoiceGame], limit_bits: int | None = None) -> np.ndarray:
+    """Closed-form index of every coalition at once, by coalition mask, for games of one shape.
 
-    Returns a flat array of 2^n entries whose entry ``_mask(T)`` is I(T);
-    entry 0 is not an index.  Given a list of games of one shape, one pass
-    over their stacked tables returns one such row per game, each the same
-    as the game's own pass.  See the module docstring for the sweep.
+    Returns one row of 2^n entries per game, whose entry ``_mask(T)`` is I(T);
+    entry 0 is not an index.  One pass over the stacked tables gives each game
+    the row of its own pass.  See the module docstring for the sweep.
     """
-    games = [v] if isinstance(v, MultichoiceGame) else v
     n, k, b = games[0].n, games[0].k, len(games)
     check_query_size(query_cost("pass", n, k), limit_bits)
     # the games lead (a lone game's table is read in place), then axes n..1 reversed:
@@ -187,8 +183,7 @@ def _index_array(
     index = g[0]
     for d in range(1, n):
         index += g[d] / (d + 1)
-    rows = index.transpose(axes).reshape(b, 2**n)
-    return rows[0] if v is not games else rows
+    return index.transpose(axes).reshape(b, 2**n)
 
 
 def _served(games: Sequence[MultichoiceGame], m: int, limit_bits: int | None) -> list[dict]:
@@ -242,21 +237,21 @@ def interaction_recursive(
     """Interaction of T via macro-attribute reductions.
 
     Expands I(T) as the signed sum, over nonempty A within T, of the
-    importance of the macro attribute in the game where A moves in
-    lockstep and T without A is frozen at level 0.  Singleton base case
-    is the importance index itself.
+    importance of the macro attribute in the game where A moves in lockstep
+    and T without A is frozen at level 0 (:func:`karycap.game.reduce_group`).
+    Its levels 0 and k are read as basic slices of ``v.grid()``: no game is built.
     """
     members = nonempty_members(T, v.n)
     t = len(members)
     check_query_size(query_cost("recursive", v.n, v.k, t), limit_bits)
-    if t == 1:
-        return importance(v, members[0], limit_bits)
-    terms = []
-    for a in range(1, t + 1):
-        for A in combinations(members, a):
-            reduced = reduce_group(v, members, A)
-            terms.append((-1.0) ** (t - a) * importance(reduced, reduced.n, limit_bits))
-    return math.fsum(terms)
+
+    def macro(A: Coalition) -> np.ndarray:  # A's axes at k, the rest of T at 0, the others whole
+        return v.grid()[tuple(v.k if i in A else 0 if i in members else slice(None)
+                              for i in range(1, v.n + 1))]
+
+    # each term weighted as in the reduced game, on n - t + 1 attributes
+    return math.fsum((-1.0) ** (t - len(A)) * _combine_classes((macro(A) - macro(()))[..., None])
+                     for a in range(1, t + 1) for A in combinations(members, a))
 
 
 def classical_shapley(v: MultichoiceGame, i: int, limit_bits: int | None = None) -> float:

@@ -27,9 +27,9 @@ import numpy as np
 
 from .game import (
     MultichoiceGame,
+    _finite,
     _integer,
     _seed,
-    _tolerance,
     add_games,
     check_query_size,
     check_table_size,
@@ -163,7 +163,7 @@ def verify_axioms(
     trials = _integer(trials, "trial count")
     if trials < 1:
         raise ValueError("need at least one trial")
-    _tolerance(tol)
+    _finite(tol, "tolerance")
     seed = _seed(seed)
     if game is None:
         check_table_size(n, k, limit_bits)

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -492,7 +493,7 @@ class TestKaryCapacityCheck:
         w = MultichoiceGame.from_values(1, 2, [0.0, 0.5, 1.0])
         assert is_kary_capacity(w)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, "x"])
     def test_non_finite_tolerance_rejected(self, tol):
         # no step falls below -inf and none below nan: the answer would be vacuous
         v = random_game(3, 3, 2, "general")
@@ -685,3 +686,18 @@ class TestAddGames:
     def test_grid_mismatch(self, m2):
         with pytest.raises(ValueError):
             add_games(m2, min_game(2, 3))
+
+    @pytest.mark.parametrize("alpha", ["x", None, True, math.nan, math.inf, -math.inf])
+    def test_alpha_must_be_a_finite_number(self, m2, alpha):
+        # refused before any arithmetic, so no numpy error or warning comes first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^alpha .* is not (a number|finite)$"):
+                add_games(m2, m2, alpha)
+
+    def test_an_overflow_is_refused_without_a_warning(self, m2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="table values must be finite"):
+                add_games(m2, m2, 1e308)
+        assert add_games(m2, m2, np.float32(0.5)).values.tolist() == (1.5 * m2.values).tolist()

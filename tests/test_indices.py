@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from fractions import Fraction
@@ -28,7 +29,7 @@ from karycap import (
 from karycap import indices
 from karycap.cli import main
 from karycap import game
-from karycap.game import add_games, query_cost
+from karycap.game import GAME_KINDS, add_games, query_cost, reduce_group
 from karycap.indices import (
     METHODS,
     _classes,
@@ -212,6 +213,35 @@ class TestRecursiveForm:
             interaction_all_upto(v, 2, "recursive", 4)
         interaction_recursive(v, (1, 2), 12)  # raised limit admits the query
 
+    def test_is_the_signed_sum_over_reduced_games_bitwise(self):
+        # the paper's expansion, each reduced game built by reduce_group: the route
+        # reads the same two levels off v and weighs them as n - t + 1 attributes
+        for n in range(1, 7):
+            for k in range(1, 4):
+                kind = GAME_KINDS[(n + k) % 3]
+                v = MultichoiceGame(n, k, random_game(n + 7 * k, n, k, kind).values * 10.0**n)
+                for t in range(1, n + 1):
+                    for T in combinations(range(1, n + 1), t):
+                        terms = [(-1.0) ** (t - a) * importance(reduce_group(v, T, A), n - t + 1)
+                                 for a in range(1, t + 1) for A in combinations(T, a)]
+                        assert interaction_recursive(v, T).hex() == math.fsum(terms).hex(), T
+
+    def test_builds_no_game_and_guards_once(self, monkeypatch):
+        # the reduced games are slices of v's table, and the route's own guard
+        # covers each of them
+        def built(self):
+            raise AssertionError("a game was built")
+
+        guard, guarded = indices.check_query_size, []
+        monkeypatch.setattr(indices, "check_query_size",
+                            lambda *args: guarded.append(args) or guard(*args))
+        v = random_game(3, 4, 2, "general")
+        monkeypatch.setattr(MultichoiceGame, "__post_init__", built)
+        for T in [(2,), (1, 3), (1, 2, 3, 4)]:
+            guarded.clear()
+            interaction_recursive(v, T, 20)
+            assert guarded == [(query_cost("recursive", 4, 2, len(T)), 20)]
+
 
 class TestClassicalIndices:
     def test_shapley_hand_values(self, classic2):
@@ -371,21 +401,26 @@ GAME_SPACE = (
 )
 
 
-def exact_index(v: MultichoiceGame, T: tuple[int, ...]) -> tuple[Fraction, Fraction, Fraction]:
+def exact_index(
+    v: MultichoiceGame, T: tuple[int, ...]
+) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """The paper's I(T) of the float table in fractions, from its definition (each
     profile y of the attributes outside T weighs the alternating sum of v over T's
-    corners at levels 0 and k by its class coefficient), and the Σ|w·x| of two
-    routes to it: the definition's own sum, which is the closed form's, and the
-    pass's.  The pass weighs a corner through every U containing T: with z of y's
-    attributes at level 0, j of them in U, by 1 / (kap + j + 1) each.  (The
-    magnitudes double the cost of :func:`exact_interaction`, so it keeps its loop.)"""
+    corners at levels 0 and k by its class coefficient), and the Σ|w·x| of three
+    routes to it: the definition's own sum, which is the closed form's, the
+    pass's and the recursive route's.  The pass weighs a corner through every U
+    containing T: with z of y's attributes at level 0, j of them in U, by
+    1 / (kap + j + 1) each.  The recursive route weighs, for each nonempty A in T,
+    the corner with A at k minus the corner with T at 0 by the same coefficient,
+    which depends on n - t only and so is the reduced game's.  (The magnitudes
+    triple the cost of :func:`exact_interaction`, so it keeps its loop.)"""
     n, k, t = v.n, v.k, len(T)
     outside = [i for i in range(1, n + 1) if i not in T]
     through_u = {
         (s, kap): sum(Fraction(math.comb(n - t - s, j), kap + j + 1) for j in range(n - t - s + 1))
         for s in range(n - t + 1) for kap in range(s + 1)
     }
-    total = closed = swept = Fraction(0)
+    total = closed = swept = reduced = Fraction(0)
     for y in product(range(k + 1), repeat=n - t):
         s, kap = sum(level > 0 for level in y), sum(level == k for level in y)
         weight = shapley_coefficient(n, t, s, kap)
@@ -397,7 +432,10 @@ def exact_index(v: MultichoiceGame, T: tuple[int, ...]) -> tuple[Fraction, Fract
             total += (-1) ** (t - sum(top)) * weight * value
             closed += weight * abs(value)
             swept += through_u[s, kap] * abs(value)
-    return total, closed, swept
+            if not any(top):  # the first corner, every reduced game's macro level 0
+                bottom = value
+            reduced += weight * abs(value - bottom)
+    return total, closed, swept, reduced
 
 
 def exact_interaction(v: MultichoiceGame, T: tuple[int, ...]) -> Fraction:
@@ -417,30 +455,47 @@ def exact_interaction(v: MultichoiceGame, T: tuple[int, ...]) -> Fraction:
     return total
 
 
+@functools.lru_cache(maxsize=None)
+def exact_cases(n: int, k: int) -> list[tuple[MultichoiceGame, dict]]:
+    """:func:`reference_games` with the :func:`exact_index` of each coalition,
+    computed once for every route that is held to it."""
+    coalitions = [T for t in range(1, n + 1) for T in combinations(range(1, n + 1), t)]
+    return [(v, {T: exact_index(v, T) for T in coalitions}) for v in reference_games(n, k)]
+
+
 class TestExactIndex:
-    """The closed form and the stacked pass against the paper's I(T) in fractions,
-    for n <= 4, k <= 3, in units of u·Σ|w·x|, Σ|w·x| being each route's own.
+    """The closed form, the stacked pass and the recursive route against the
+    paper's I(T) in fractions, for n <= 4, k <= 3, in units of u·Σ|w·x|,
+    Σ|w·x| being each route's own.
 
     The stated bounds are first-order.  The closed form rounds t differences,
     the class coefficient, its product and the fsum: t + 3.  The pass rounds a
     value at most max(k - 1, 1) times per axis (a level sum or the difference),
     n - t times in the sweep, once in the division and n - 1 times adding the
-    degree rows: n max(k - 1, 1) + 2n - t.  The largest errors met are 1.23
-    units (closed form) and 1.16 (pass); the pass's Σ|w·x| reaches 11.6 times
+    degree rows: n max(k - 1, 1) + 2n - t.  The recursive route rounds each
+    reduced game's difference, the class coefficient and its product, that
+    game's fsum and the fsum over the reduced games: 5.  The largest errors
+    met are 1.23 units (closed form), 1.16 (pass) and 1.75 (recursive); the
+    Σ|w·x| of the pass and of the recursive route reach 11.6 and 1.86 times
     the definition's on these games.
     """
 
     @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 5) for k in range(1, 4)])
     def test_closed_form_and_stacked_pass(self, n, k):
-        games = list(reference_games(n, k))
-        rows = _index_array(games)
-        for v, row in zip(games, rows):
-            for t in range(1, n + 1):
-                for T in combinations(range(1, n + 1), t):
-                    want, closed, swept = exact_index(v, T)
-                    assert abs(Fraction(interaction(v, T)) - want) <= (t + 3) * U * closed
-                    depth = n * max(k - 1, 1) + 2 * n - t
-                    assert abs(Fraction(float(row[_mask(T)])) - want) <= depth * U * swept
+        cases = exact_cases(n, k)
+        rows = _index_array([v for v, _ in cases])
+        for (v, exact), row in zip(cases, rows):
+            for T, (want, closed, swept, _) in exact.items():
+                t = len(T)
+                assert abs(Fraction(interaction(v, T)) - want) <= (t + 3) * U * closed
+                depth = n * max(k - 1, 1) + 2 * n - t
+                assert abs(Fraction(float(row[_mask(T)])) - want) <= depth * U * swept
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 5) for k in range(1, 4)])
+    def test_recursive(self, n, k):
+        for v, exact in exact_cases(n, k):
+            for T, (want, _, _, reduced) in exact.items():
+                assert abs(Fraction(interaction_recursive(v, T)) - want) <= 5 * U * reduced
 
 
 class TestRoutesAgree:
@@ -464,7 +519,7 @@ class TestRoutesAgree:
         v = fuzz_game(n, k, kind, scale, seed, data)
         depth = (k + 1) ** n + 2 * n + 4
         bound = 1.01 * depth * 2.0**-53 * 2 ** (n + 1) * math.fsum(np.abs(v.values))
-        every = _index_array(v)
+        every = _index_array([v])[0]
         for t in range(1, n + 1):
             for T in combinations(range(1, n + 1), t):
                 want = exact_interaction(v, T)
@@ -498,7 +553,7 @@ class TestRoutesAgree:
     def test_index_array_matches_the_closed_form(self, n, k, kind, scale, seed, data):
         v = fuzz_game(n, k, kind, scale, seed, data)
         bound = 1e-9 * max(1.0, float(np.abs(v.values).max()))
-        every = _index_array(v)
+        every = _index_array([v])[0]
         assert every.shape == (2**n,)
         for t in range(1, n + 1):
             for T in combinations(range(1, n + 1), t):
@@ -510,7 +565,7 @@ class TestRoutesAgree:
         v = random_game(287, 7, 4, "additive")
         v = MultichoiceGame(v.n, v.k, v.values * 1e6)
         want = exact_interaction(v, (5,))
-        served = float(_index_array(v)[_mask((5,))])
+        served = float(_index_array([v])[0][_mask((5,))])
         assert abs(Fraction(interaction(v, (5,))) - want) <= abs(Fraction(served) - want)
 
 
@@ -519,7 +574,7 @@ class TestIndexArray:
         for n in range(1, 6):
             for k in range(1, 4):
                 v = min_game(n, k)
-                every = _index_array(v)
+                every = _index_array([v])[0]
                 for t in range(1, n + 1):
                     for T in combinations(range(1, n + 1), t):
                         assert float(every[_mask(T)]) == interaction(v, T), (n, k, T)
@@ -527,13 +582,13 @@ class TestIndexArray:
     def test_guard_counts_the_whole_table(self):
         v = random_game(5, 4, 3, "general")  # 4**4 = 2**8 entries
         with pytest.raises(SizeLimitError, match="256 table lookups.*beyond the 7-bit limit"):
-            _index_array(v, 7)
-        assert _index_array(v, 8).shape == (2**4,)
+            _index_array([v], 7)
+        assert _index_array([v], 8).shape == (1, 2**4)
         # at k = 1 the n degree rows of 2**n outweigh the table: 5 * 2**5 = 160
         v = random_game(5, 5, 1, "general")
         with pytest.raises(SizeLimitError, match="160 table lookups.*beyond the 7-bit limit"):
-            _index_array(v, 7)
-        assert _index_array(v, 8).shape == (2**5,)
+            _index_array([v], 7)
+        assert _index_array([v], 8).shape == (1, 2**5)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 9])
     def test_a_stacked_pass_is_each_games_own_pass(self, k):
@@ -548,7 +603,7 @@ class TestIndexArray:
                 rows = _index_array(games[:b])
                 assert rows.shape == (b, 2**n)
                 for g, row in zip(games, rows):
-                    assert row[1:].tobytes() == _index_array(g)[1:].tobytes(), (n, k, b)
+                    assert row[1:].tobytes() == _index_array([g])[0][1:].tobytes(), (n, k, b)
 
     @pytest.mark.parametrize("method", ["closed_form", "derivative_sum"])
     def test_only_small_layouts_are_cached(self, method):
@@ -561,7 +616,7 @@ class TestIndexArray:
             coalitions = [T for t in range(1, m + 1) for T in combinations(range(1, n + 1), t)]
             assert list(served) == coalitions
             if method == "closed_form":
-                every = _index_array(v)
+                every = _index_array([v])[0]
                 assert list(served.values()) == [float(every[_mask(T)]) for T in coalitions]
         if method == "closed_form":
             assert _layout.cache_info()[:2] == (1, 1)  # (hits, misses): (5, 3) only
@@ -725,12 +780,12 @@ class TestReport:
 
     def test_wide_refusals_list_and_build_nothing(self, monkeypatch):
         # the whole report, and a recursive query's reduced games, are
-        # counted before any coalition is listed or any game is reduced
+        # counted before any coalition is listed or any reduced game is weighed
         def built(*args):
-            raise AssertionError("listed or built before the guard")
+            raise AssertionError("listed or weighed before the guard")
 
         monkeypatch.setattr(indices, "_coalitions", built)
-        monkeypatch.setattr(indices, "reduce_group", built)
+        monkeypatch.setattr(indices, "_combine_classes", built)
         for v, method, count in [(random_game(0, 10, 1), "recursive", 1979054),
                                  (random_game(0, 12, 1), "derivative_sum", 16773120)]:
             with pytest.raises(SizeLimitError, match=f"needs {count} table lookups.*20-bit"):
@@ -798,7 +853,7 @@ class TestCostModel:
              2**n + max((k + 1) ** n, n * 2**n), lookups),
             (lambda b: classical_interaction(w, T, b), query_cost("closed_form", n, 1, t),
              2**n, lookups),
-            (lambda b: _index_array(v, b), query_cost("pass", n, k),
+            (lambda b: _index_array([v], b), query_cost("pass", n, k),
              max((k + 1) ** n, n * 2**n), lookups),
             (lambda b: integral_check(v, T, rows, 5, b), query_cost("integral", n, k, t) * rows,
              k**n * 2**t * rows, evaluations),

@@ -200,12 +200,16 @@ class TestVerifyAxiom:
         assert report.max_gap == max(f.gap for f in report.failures)
 
     def test_nan_tolerance_rejected(self):
-        # no gap exceeds nan or inf, so a non-finite tolerance is refused
+        # no gap exceeds nan or inf, so a non-finite tolerance is refused,
+        # and so is one that is not a number, before it is compared
         for tol, refusal in [(math.nan, "tolerance nan is not a number"),
                              (math.inf, "tolerance inf is not finite"),
                              (-math.inf, "tolerance -inf is not finite")]:
             with pytest.raises(ValueError, match=refusal):
                 verify_axiom("E", 2, 11, 3, 2, tol=tol)
+        for tol in ("x", None, True):
+            with pytest.raises(ValueError, match=f"^tolerance {tol!r} is not a number$"):
+                verify_axiom("L", 1, 1, 2, 2, tol=tol)
 
     @pytest.mark.parametrize(
         "axiom, stacks",
@@ -236,7 +240,7 @@ class TestVerifyAxiom:
 
         monkeypatch.setattr("karycap.indices._index_array", skewed)
         v = random_game(3, 3, 2)
-        assert interaction_all_upto(v, 2)[(1, 2)] == _index_array(v)[0b11] + 1e-3
+        assert interaction_all_upto(v, 2)[(1, 2)] == _index_array([v])[0][0b11] + 1e-3
         report = verify_axiom("N", 2, 3, 3, 2)
         assert not report.passed and report.failures
         assert all(len(f.subject) >= 2 for f in report.failures)
