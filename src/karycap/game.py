@@ -30,6 +30,7 @@ import functools
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
@@ -145,6 +146,8 @@ def _finite(x, what: str) -> None:
     # nothing; a factor that is not a finite number would leave no finite table
     if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
         raise ValueError(f"{what} {x!r} is not a number")
+    if isinstance(x, numbers.Rational) and not abs(x) <= sys.float_info.max:
+        raise ValueError(f"{what} beyond the float range ±{sys.float_info.max} is not finite")
     if not math.isfinite(x):
         raise ValueError(f"{what} {x} is " + ("not a number" if math.isnan(x) else "not finite"))
 

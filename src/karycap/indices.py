@@ -41,9 +41,9 @@ the multichoice form of Grabisch's Moebius formula (1997).
 :func:`_index_array` contracts ``v.grid()`` once per axis through basic
 slices, sweeps |U - T| through the 2^n result as a leading axis of
 degree rows, and weighs row d by 1 / (d + 1), for a stack of games of one
-shape at once: every all-coalition closed-form request reads that one pass,
-:func:`interaction_all_upto` for one game and :mod:`karycap.verify`'s axioms
-for a stack, while the per-coalition closed form above stays the reference.
+shape at once.  :func:`_served` guards each run of games of one shape once
+and stacks it within :data:`_STACK_LOOKUPS`, for :func:`interaction_all_upto`
+and :mod:`karycap.verify`; the per-coalition closed form stays the reference.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -151,15 +151,15 @@ def _layout(n: int, m: int) -> tuple[tuple[Coalition, ...], np.ndarray]:
     return coalitions, masks
 
 
-def _index_array(games: Sequence[MultichoiceGame], limit_bits: int | None = None) -> np.ndarray:
+def _index_array(games: Sequence[MultichoiceGame]) -> np.ndarray:
     """Closed-form index of every coalition at once, by coalition mask, for games of one shape.
 
     Returns one row of 2^n entries per game, whose entry ``_mask(T)`` is I(T);
     entry 0 is not an index.  One pass over the stacked tables gives each game
-    the row of its own pass.  See the module docstring for the sweep.
+    the row of its own pass.  See the module docstring for the sweep, and :func:`_served`
+    for its guard.
     """
     n, k, b = games[0].n, games[0].k, len(games)
-    check_query_size(query_cost("pass", n, k), limit_bits)
     # the games lead (a lone game's table is read in place), then axes n..1 reversed:
     # each table keeps its own order, so every grid of the stack is a game's v.grid()
     axes = (0, *range(n, 0, -1))
@@ -186,11 +186,23 @@ def _index_array(games: Sequence[MultichoiceGame], limit_bits: int | None = None
     return index.transpose(axes).reshape(b, 2**n)
 
 
-def _served(games: Sequence[MultichoiceGame], m: int, limit_bits: int | None) -> list[dict]:
-    """The closed-form report of order 1..m of each of ``games`` (one shape), from one pass."""
-    rows, n = _index_array(games, limit_bits), games[0].n
-    coalitions, masks = (_layout if n <= _CACHED_LAYOUT_N else _layout.__wrapped__)(n, m)
-    return [dict(zip(coalitions, row)) for row in rows[:, masks].tolist()]
+# the pass guard counts that one stack's games may add up to: a larger game is indexed alone
+_STACK_LOOKUPS = 2**16
+
+
+def _served(games: Iterable[MultichoiceGame], m: int, limit_bits: int | None) -> list[dict]:
+    """The closed-form report of order 1..min(m, n) of each of ``games``, in order.  Each
+    run of one shape meets the pass guard once and is indexed in stacks that fit in
+    :data:`_STACK_LOOKUPS`, each stack's games taken once the stack before is freed."""
+    tables = []
+    for (n, k), run in groupby(games, key=lambda g: (g.n, g.k)):
+        check_query_size(cost := query_cost("pass", n, k), limit_bits)
+        layout = _layout if n <= _CACHED_LAYOUT_N else _layout.__wrapped__
+        coalitions, masks = layout(n, min(m, n))
+        while stack := list(islice(run, max(1, _STACK_LOOKUPS // cost))):
+            tables += [dict(zip(coalitions, row)) for row in _index_array(stack)[:, masks].tolist()]
+            del stack  # not held while the next stack's games are built
+    return tables
 
 
 def importance(v: MultichoiceGame, i: int, limit_bits: int | None = None) -> float:

@@ -6,8 +6,8 @@ seeded randomized check.  The axiom's builder draws the partners its
 equation talks about and lists the games the equation reads.  One driver,
 :func:`verify_axioms`, indexes each game by what
 ``interaction_all_upto(..., "closed_form")`` serves the CLI's importance
-and interaction verbs (the same all-coalition pass, keyed by coalition,
-made once for each run of an axiom's games of one shape), records both
+and interaction verbs (the same all-coalition pass, keyed by coalition, and
+guarded once for each run of an axiom's games of one shape), records both
 sides of every equation over those tables, and re-checks the first game's
 table against the per-coalition closed form of
 :func:`~karycap.indices.importance` and
@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -31,11 +32,9 @@ from .game import (
     _integer,
     _seed,
     add_games,
-    check_query_size,
     check_table_size,
     members_tuple,
     permute_attributes,
-    query_cost,
     random_game,
     restrict_absent,
     restrict_present_top,
@@ -46,10 +45,6 @@ AXIOMS = ("L", "N", "I", "S", "E", "R")
 
 #: Largest coalition size exercised per trial.
 MAX_ORDER = 3
-
-# games of one shape share a pass while their passes' guard counts add up to at
-# most this many lookups; a larger game is indexed alone
-_STACK_LOOKUPS = 2**16
 
 
 @dataclass
@@ -73,11 +68,14 @@ class VerificationReport:
 
     def record(self, tol: float, seed: int, subject: tuple, lhs: float, rhs: float) -> None:
         gap = abs(lhs - rhs)
-        self.max_gap = max(self.max_gap, gap)
-        if not gap <= tol:  # a NaN gap fails too, and stays the largest
+        self.max_gap = self._worst(self.max_gap, gap, tol)
+        if not gap <= tol:
             self.failures.append(Failure(seed, subject, lhs, rhs, gap))
-            self.passed = False
-            self.max_gap = gap if gap != gap else self.max_gap
+
+    def _worst(self, worst: float, gap: float, tol: float) -> float:
+        # the larger gap, or a NaN once met; the report fails unless gap <= tol, so on a NaN too
+        self.passed = self.passed and gap <= tol
+        return gap if gap != gap or gap > worst else worst
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -147,8 +145,8 @@ def verify_axioms(
     Every argument is checked before the first trial.
 
     Each trial's base game is built once and indexed at most once for all
-    the axioms.  An axiom's games of one shape share one pass, as long as
-    their passes' guard counts add up to at most 2^16 lookups.  Every axiom
+    the axioms.  Each run of an axiom's games of one shape meets the pass
+    guard once, and its games share a pass within 2^16 lookups.  Every axiom
     reads the trial's stream from the point after the base game's draw, as
     a run of that axiom alone does, so each report equals
     :func:`verify_axiom`'s.
@@ -220,30 +218,12 @@ def verify_axiom(
 
 def _index_games(games, v, iv, bits):
     # the first game and every game's table, in order, as the importance and interaction
-    # verbs serve them: games of one shape in a row share one pass while the stack stays
-    # within _STACK_LOOKUPS, each meets the pass guard as it is reached, and v's table iv,
-    # once made, is reused; R's games are built as they are reached and freed once indexed
-    first, tables, stack = None, [], []
-
-    def index_stack():
-        tables.extend(_served(stack, min(MAX_ORDER, stack[0].n), bits))
-        stack.clear()
-
-    for g in games:
-        first = g if first is None else first
-        if g is v and iv is not None:  # v is listed first, so no stack is open
-            tables.append(iv)
-            continue
-        if stack and (g.n, g.k) != (stack[0].n, stack[0].k):
-            index_stack()
-        cost = query_cost("pass", g.n, g.k)
-        check_query_size(cost, bits)
-        stack.append(g)
-        if (len(stack) + 1) * cost > _STACK_LOOKUPS:  # the next game would not fit
-            index_stack()
-    if stack:
-        index_stack()
-    return first, tables
+    # verbs serve them (R's games built as they are reached); v's table iv is reused
+    games = iter(games)
+    first = next(games)
+    if first is v and iv is not None:
+        return first, [iv, *_served(games, MAX_ORDER, bits)]
+    return first, _served(chain([first], games), MAX_ORDER, bits)
 
 
 def _check_closed_form(report, rng, v, iv, tol, bits):
@@ -252,10 +232,7 @@ def _check_closed_form(report, rng, v, iv, tol, bits):
     i = int(rng.integers(1, v.n + 1))
     T = tuple(sorted(int(j) + 1 for j in rng.choice(v.n, min(v.n, MAX_ORDER), replace=False)))
     for gap in (abs(importance(v, i, bits) - iv[(i,)]), abs(interaction(v, T, bits) - iv[T])):
-        report.closed_form_gap = max(report.closed_form_gap, gap)
-        if not gap <= tol:  # a NaN gap fails too, and stays the largest
-            report.passed = False
-            report.closed_form_gap = gap if gap != gap else report.closed_form_gap
+        report.closed_form_gap = report._worst(report.closed_form_gap, gap, tol)
 
 
 # A builder (rng, v, bits) -> (games, equations) draws from rng and lists the games

@@ -35,6 +35,10 @@ from karycap.indices import _classes, importance, interaction
 from karycap.verify import make_invariance_partner, make_null_extension, verify_axiom
 from conftest import delta_recursive
 
+# ints that no float holds, the last with more digits than str() formats
+BEYOND_FLOATS = [pytest.param(x, id=i) for x, i in
+                 [(10**400, "1e400"), (-10**400, "-1e400"), (10**5000, "1e5000")]]
+
 
 def flat_index(x, k):
     # little-endian base (k+1) digits: attribute 1 is the least significant
@@ -493,7 +497,7 @@ class TestKaryCapacityCheck:
         w = MultichoiceGame.from_values(1, 2, [0.0, 0.5, 1.0])
         assert is_kary_capacity(w)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, "x"])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, "x", *BEYOND_FLOATS])
     def test_non_finite_tolerance_rejected(self, tol):
         # no step falls below -inf and none below nan: the answer would be vacuous
         v = random_game(3, 3, 2, "general")
@@ -687,7 +691,7 @@ class TestAddGames:
         with pytest.raises(ValueError):
             add_games(m2, min_game(2, 3))
 
-    @pytest.mark.parametrize("alpha", ["x", None, True, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("alpha", ["x", None, True, math.nan, math.inf, -math.inf, *BEYOND_FLOATS])
     def test_alpha_must_be_a_finite_number(self, m2, alpha):
         # refused before any arithmetic, so no numpy error or warning comes first
         with warnings.catch_warnings():

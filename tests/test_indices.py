@@ -37,6 +37,7 @@ from karycap.indices import (
     _index_array,
     _layout,
     _mask,
+    _served,
     interaction_by_method,
     shapley_coefficient,
 )
@@ -403,24 +404,33 @@ GAME_SPACE = (
 
 def exact_index(
     v: MultichoiceGame, T: tuple[int, ...]
-) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
     """The paper's I(T) of the float table in fractions, from its definition (each
     profile y of the attributes outside T weighs the alternating sum of v over T's
-    corners at levels 0 and k by its class coefficient), and the Σ|w·x| of three
+    corners at levels 0 and k by its class coefficient), and the Σ|w·x| of four
     routes to it: the definition's own sum, which is the closed form's, the
-    pass's and the recursive route's.  The pass weighs a corner through every U
-    containing T: with z of y's attributes at level 0, j of them in U, by
-    1 / (kap + j + 1) each.  The recursive route weighs, for each nonempty A in T,
-    the corner with A at k minus the corner with T at 0 by the same coefficient,
-    which depends on n - t only and so is the reduced game's.  (The magnitudes
-    triple the cost of :func:`exact_interaction`, so it keeps its loop.)"""
+    pass's, the recursive route's and derivative_sum's.  The pass weighs a corner
+    through every U containing T: with z of y's attributes at level 0, j of them
+    in U, by 1 / (kap + j + 1) each.  The recursive route weighs, for each
+    nonempty A in T, the corner with A at k minus the corner with T at 0 by the
+    same coefficient, which depends on n - t only and so is the reduced game's.
+    derivative_sum weighs each unit cell's T-difference, exact here, by y's
+    coefficient.  (The magnitudes triple the cost of :func:`exact_interaction`,
+    so it keeps its loop.)"""
     n, k, t = v.n, v.k, len(T)
     outside = [i for i in range(1, n + 1) if i not in T]
     through_u = {
         (s, kap): sum(Fraction(math.comb(n - t - s, j), kap + j + 1) for j in range(n - t - s + 1))
         for s in range(n - t + 1) for kap in range(s + 1)
     }
-    total = closed = swept = reduced = Fraction(0)
+    # at each y (T's axes kept at 1), Σ over T's unit cells of |v| at each cell's
+    # corners, in exact integer units of 2^-1074 (the least double) to keep it quick
+    least = [p * (2**1074 // q) for p, q in map(float.as_integer_ratio, np.abs(v.values).tolist())]
+    cells = np.array(least, dtype=object).reshape(v.grid().shape, order="F")
+    for i in T:
+        cells = cells.take(range(1, k + 1), axis=i - 1) + cells.take(range(k), axis=i - 1)
+    cells = cells.sum(axis=tuple(i - 1 for i in T), keepdims=True)
+    total = closed = swept = reduced = derived = Fraction(0)
     for y in product(range(k + 1), repeat=n - t):
         s, kap = sum(level > 0 for level in y), sum(level == k for level in y)
         weight = shapley_coefficient(n, t, s, kap)
@@ -434,8 +444,9 @@ def exact_index(
             swept += through_u[s, kap] * abs(value)
             if not any(top):  # the first corner, every reduced game's macro level 0
                 bottom = value
+                derived += weight * cells[tuple(x)]
             reduced += weight * abs(value - bottom)
-    return total, closed, swept, reduced
+    return total, closed, swept, reduced, derived / 2**1074
 
 
 def exact_interaction(v: MultichoiceGame, T: tuple[int, ...]) -> Fraction:
@@ -464,9 +475,9 @@ def exact_cases(n: int, k: int) -> list[tuple[MultichoiceGame, dict]]:
 
 
 class TestExactIndex:
-    """The closed form, the stacked pass and the recursive route against the
-    paper's I(T) in fractions, for n <= 4, k <= 3, in units of u·Σ|w·x|,
-    Σ|w·x| being each route's own.
+    """The closed form, the stacked pass, the recursive route and derivative_sum
+    against the paper's I(T) in fractions, for n <= 4, k <= 3, in units of
+    u·Σ|w·x|, Σ|w·x| being each route's own.
 
     The stated bounds are first-order.  The closed form rounds t differences,
     the class coefficient, its product and the fsum: t + 3.  The pass rounds a
@@ -474,10 +485,16 @@ class TestExactIndex:
     n - t times in the sweep, once in the division and n - 1 times adding the
     degree rows: n max(k - 1, 1) + 2n - t.  The recursive route rounds each
     reduced game's difference, the class coefficient and its product, that
-    game's fsum and the fsum over the reduced games: 5.  The largest errors
-    met are 1.23 units (closed form), 1.16 (pass) and 1.75 (recursive); the
-    Σ|w·x| of the pass and of the recursive route reach 11.6 and 1.86 times
-    the definition's on these games.
+    game's fsum and the fsum over the reduced games: 5.  derivative_sum takes
+    each unit cell's t differences one axis at a time, adds a profile's k^t
+    cells, then rounds the coefficient, its product and the fsum: t + k^t + 2,
+    its x being v at each cell's corners.  (Each difference rounds against its
+    operands, not against the cell's: on the cancelling games the route's error
+    reached 1.2e15 units of u·Σ|w·Δ_cell|.)  The largest errors met are 1.23
+    units (closed form), 1.16 (pass), 1.75 (recursive) and 1.23
+    (derivative_sum); the Σ|w·x| of the pass, of the recursive route and of
+    derivative_sum reach 11.6, 1.86 and 99.6 times the definition's on these
+    games.
     """
 
     @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 5) for k in range(1, 4)])
@@ -485,7 +502,7 @@ class TestExactIndex:
         cases = exact_cases(n, k)
         rows = _index_array([v for v, _ in cases])
         for (v, exact), row in zip(cases, rows):
-            for T, (want, closed, swept, _) in exact.items():
+            for T, (want, closed, swept, *_) in exact.items():
                 t = len(T)
                 assert abs(Fraction(interaction(v, T)) - want) <= (t + 3) * U * closed
                 depth = n * max(k - 1, 1) + 2 * n - t
@@ -494,8 +511,15 @@ class TestExactIndex:
     @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 5) for k in range(1, 4)])
     def test_recursive(self, n, k):
         for v, exact in exact_cases(n, k):
-            for T, (want, _, _, reduced) in exact.items():
+            for T, (want, _, _, reduced, _) in exact.items():
                 assert abs(Fraction(interaction_recursive(v, T)) - want) <= 5 * U * reduced
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 5) for k in range(1, 4)])
+    def test_derivative_sum(self, n, k):
+        for v, exact in exact_cases(n, k):
+            for T, (want, *_, cornered) in exact.items():
+                depth = len(T) + k ** len(T) + 2
+                assert abs(Fraction(interaction_via_derivatives(v, T)) - want) <= depth * U * cornered
 
 
 class TestRoutesAgree:
@@ -582,13 +606,44 @@ class TestIndexArray:
     def test_guard_counts_the_whole_table(self):
         v = random_game(5, 4, 3, "general")  # 4**4 = 2**8 entries
         with pytest.raises(SizeLimitError, match="256 table lookups.*beyond the 7-bit limit"):
-            _index_array([v], 7)
-        assert _index_array([v], 8).shape == (1, 2**4)
+            _served([v], 1, 7)
+        assert [len(table) for table in _served([v], 1, 8)] == [4]
         # at k = 1 the n degree rows of 2**n outweigh the table: 5 * 2**5 = 160
         v = random_game(5, 5, 1, "general")
         with pytest.raises(SizeLimitError, match="160 table lookups.*beyond the 7-bit limit"):
-            _index_array([v], 7)
-        assert _index_array([v], 8).shape == (1, 2**5)
+            _served([v], 1, 7)
+        assert [len(table) for table in _served([v], 1, 8)] == [5]
+
+    def test_each_run_of_one_shape_is_stacked_in_order(self, monkeypatch):
+        # a run of one shape shares a pass; a shape change ends the run, and
+        # every game gets its own report, in input order
+        stacks = []
+        monkeypatch.setattr(indices, "_index_array",
+                            lambda games: stacks.append(len(games)) or _index_array(games))
+        games = [random_game(s, n, k) for s, (n, k) in enumerate([(3, 2), (3, 2), (4, 1), (3, 2)])]
+        tables = _served(games, 3, None)
+        assert stacks == [2, 1, 1]
+        assert tables == [interaction_all_upto(g, min(3, g.n)) for g in games]
+
+    def test_a_run_is_stacked_within_the_budget_and_guarded_once(self, monkeypatch):
+        # 4^7 lookups a pass: 4 games fit in 2^16, and each stack's games are
+        # taken only once the stack before it is indexed
+        events, guard = [], indices.check_query_size
+        monkeypatch.setattr(indices, "check_query_size",
+                            lambda count, bits: events.append(("guard", count)) or guard(count, bits))
+        monkeypatch.setattr(indices, "_index_array",
+                            lambda games: events.append(("pass", len(games))) or _index_array(games))
+        games = [random_game(s, 7, 3) for s in range(10)]
+
+        def listed():
+            for g in games:
+                events.append(("game", g.n))
+                yield g
+
+        tables = _served(listed(), 2, 20)
+        assert events == [("game", 7), ("guard", 4**7), *[("game", 7)] * 3, ("pass", 4),
+                          *[("game", 7)] * 4, ("pass", 4), *[("game", 7)] * 2, ("pass", 2)]
+        assert tables == [interaction_all_upto(g, 2) for g in games]
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 9])
     def test_a_stacked_pass_is_each_games_own_pass(self, k):
@@ -853,7 +908,7 @@ class TestCostModel:
              2**n + max((k + 1) ** n, n * 2**n), lookups),
             (lambda b: classical_interaction(w, T, b), query_cost("closed_form", n, 1, t),
              2**n, lookups),
-            (lambda b: _index_array([v], b), query_cost("pass", n, k),
+            (lambda b: _served([v], 1, b), query_cost("pass", n, k),
              max((k + 1) ** n, n * 2**n), lookups),
             (lambda b: integral_check(v, T, rows, 5, b), query_cost("integral", n, k, t) * rows,
              k**n * 2**t * rows, evaluations),

@@ -18,7 +18,9 @@ from karycap import (
     random_game,
     verify_axiom,
 )
+import karycap.indices as indices
 import karycap.verify as verify_module
+from karycap.game import query_cost
 from karycap.indices import _index_array
 from karycap.verify import (
     efficiency_rhs,
@@ -210,6 +212,11 @@ class TestVerifyAxiom:
         for tol in ("x", None, True):
             with pytest.raises(ValueError, match=f"^tolerance {tol!r} is not a number$"):
                 verify_axiom("L", 1, 1, 2, 2, tol=tol)
+        # an int that no float holds is refused without formatting its digits
+        for tol in (10**400, -10**400, 10**5000):
+            with pytest.raises(ValueError, match=r"^tolerance beyond the float range "
+                                                 r"±1\.7976931348623157e\+308 is not finite$"):
+                verify_axiom("L", 1, 1, 2, 2, tol=tol)
 
     @pytest.mark.parametrize(
         "axiom, stacks",
@@ -221,21 +228,21 @@ class TestVerifyAxiom:
         # stacked pass per shape: R's v, then its 2n restrictions
         calls = []
 
-        def counted(v, limit_bits=None):
-            calls.append((len(v), limit_bits))
-            return _index_array(v, limit_bits)
+        def counted(v):
+            calls.append(len(v))
+            return _index_array(v)
 
         monkeypatch.setattr("karycap.indices._index_array", counted)
         for n in (2, 4):
             calls.clear()
             verify_axiom(axiom, 3, 5, n, 3, limit_bits=20)
-            assert calls == [(games, 20) for games in stacks(n)] * 3
+            assert calls == stacks(n) * 3
 
     def test_the_served_table_is_what_is_checked(self, monkeypatch):
         # a skew in the pass that the driver shares with interaction_all_upto
         # reaches the axiom equations
-        def skewed(v, limit_bits=None):
-            rows = _index_array(v, limit_bits)
+        def skewed(v):
+            rows = _index_array(v)
             return rows + 1e-3 * (np.array([m.bit_count() for m in range(rows.shape[-1])]) >= 2)
 
         monkeypatch.setattr("karycap.indices._index_array", skewed)
@@ -382,31 +389,37 @@ class TestVerifyAxioms:
         # partners, and R's 2n restrictions: E and R read v's table from L's pass
         games, passes, guarded = [], [], []
         build = verify_module.random_game
-        guard = verify_module.check_query_size
+        guard = indices.check_query_size
 
         def built(*args):
             games.append(args)
             return build(*args)
 
-        def indexed(v, limit_bits=None):
-            passes.append((len(v), limit_bits))
-            return _index_array(v, limit_bits)
+        def indexed(v):
+            passes.append(len(v))
+            return _index_array(v)
 
         def checked(count, limit_bits=None):
             guarded.append((count, limit_bits))
             return guard(count, limit_bits)
 
         monkeypatch.setattr(verify_module, "random_game", built)
-        monkeypatch.setattr("karycap.indices._index_array", indexed)
-        monkeypatch.setattr(verify_module, "check_query_size", checked)
+        monkeypatch.setattr(indices, "_index_array", indexed)
+        monkeypatch.setattr(indices, "check_query_size", checked)
         n, trials = 5, 3
         game = random_game(7, n, 3) if given else None
         assert all(r.passed for r in verify_axioms(AXIOMS, trials, 9, n, 3, game=game, limit_bits=20))
         assert len(games) == (1 if given else 2) * trials
-        assert passes == [(3, 20), (1, 20), (1, 20), (1, 20), (2 * n, 20)] * trials
-        # each game meets the pass guard as the driver reaches it: 4^5 lookups for
-        # v, its partners and the sum, 4^6 for the extension, 4^4 per restriction
-        each = [4**5] * 3 + [4**6] + [4**5] * 2 + [4**4] * (2 * n)
+        assert passes == [3, 1, 1, 1, 2 * n] * trials
+        # each run of one shape meets the pass guard once: 4^5 lookups for L's v,
+        # partner and sum, 4^6 for the extension, 4^5 for I's and S's partners and
+        # 4^4 for R's restrictions; each axiom's re-check then guards its two
+        # closed-form queries, of orders 1 and 3, on v or on the extension
+        def recheck(n):
+            return [query_cost("closed_form", n, 3, 1), query_cost("closed_form", n, 3, 3)]
+
+        each = ([4**5, *recheck(n), 4**6, *recheck(n + 1)] + [4**5, *recheck(n)] * 2
+                + recheck(n) + [4**4, *recheck(n)])
         assert guarded == [(count, 20) for count in each] * trials
 
     @pytest.mark.parametrize("n, k, tables", [(9, 3, 2.52), (16, 1, 19.0)])
