@@ -177,15 +177,15 @@ def integral_check(
 ) -> IntegralEstimate:
     """Monte-Carlo estimate of the box integral of the T-mixed derivative.
 
-    Over each unit cell the integral reduces to the alternating sum of the
-    extension over the 0/1 corners in the T-coordinates, averaged over
-    uniform positions u of the other coordinates.  The grid is differenced
-    along the axes of T once, and that corner sum is the extension of the
-    differenced cell at u.  ``samples`` points are drawn per cell from a
-    stream seeded by (seed, cell number in table order), so the result is
-    deterministic.  For |T| = 1 this integrates the almost-everywhere
-    partial derivative cell by cell.  Returns the estimate and its
-    standard error; when T covers every attribute, nothing is sampled.
+    Over each unit cell the integral is the alternating sum of the extension over the 0/1
+    corners in the T-coordinates, averaged over uniform positions u of the other coordinates:
+    the extension at u of the cell of the grid differenced once along the axes of T.  That
+    grid is scaled by 2^-e, e the exponent of its largest magnitude, and both results by 2^e:
+    powers of two commute with rounding, and no square of the variance overflows or
+    underflows.  ``samples`` points are drawn per cell from a stream seeded by (seed, cell
+    number in table order), so the result is deterministic.  For |T| = 1 this integrates the
+    almost-everywhere partial derivative cell by cell.  Returns the estimate and its standard
+    error; when T covers every attribute, nothing is sampled.
     """
     members = nonempty_members(T, v.n)
     seed = _seed(seed)
@@ -199,8 +199,9 @@ def integral_check(
     rows = samples if m else 1
     check_query_size(query_cost("integral", n, v.k, t) * rows, limit_bits, "Choquet evaluations")
 
-    grid = _diff(v.grid(), members)
-    flat = grid.ravel(order="K")  # a view: the differences keep the grid's F order
+    grid = _diff(v.grid(), members)  # a fresh array, scaled in place
+    e = math.frexp(max(grid.max(), -grid.min()))[1]
+    flat = np.ldexp(grid, -e, out=grid).ravel(order="K")  # a view: the grid's F order
     # a cell's corners: the flat index of its base plus those of the cell based at 0
     bases = _box_index(grid, (v.k,) * n)
     offsets = _box_index(grid, [1 if i in members else 2 for i in range(1, n + 1)])
@@ -212,6 +213,5 @@ def integral_check(
         mean = g.sum() / rows
         means.append(float(mean))
         variances.append(float(np.square(g - mean).sum() / (rows - 1)) if m else 0.0)
-    estimate = math.fsum(means)
     std_error = math.sqrt(math.fsum(var / samples for var in variances))
-    return IntegralEstimate(estimate, std_error)
+    return IntegralEstimate(math.ldexp(math.fsum(means), e), math.ldexp(std_error, e))

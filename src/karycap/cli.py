@@ -18,8 +18,6 @@ import math
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from .choquet import choquet_kary, integral_check
 from .game import MultichoiceGame, _finite, is_kary_capacity
 from .indices import METHODS, interaction, interaction_all_upto, interaction_by_method
@@ -29,16 +27,10 @@ from .verify import AXIOMS, efficiency_rhs, verify_axioms
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    # numpy reports each overflow or invalid value (inf - inf, from a table near the
-    # float range) to this list instead of warning, and _write refuses once it holds one
-    args.float_errors = []
     try:
-        with np.errstate(over="call", invalid="call",
-                         call=lambda err, flag: args.float_errors.append(err)):
-            return args.func(args)
-    # MemoryError: a table that a raised --limit admits but no machine can hold;
-    # OverflowError: a sum that math.fsum cannot hold, from values near the float range
-    except (ValueError, OSError, MemoryError, OverflowError) as exc:
+        return args.func(args)
+    # MemoryError: a table that a raised --limit admits but no machine can hold
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -264,9 +256,6 @@ def _emit(doc: dict, args) -> None:
 
 
 def _write(text: str, args) -> None:
-    if args.float_errors:
-        raise ValueError(f"floating-point {args.float_errors[0]} in this computation: "
-                         "the game's values lie too near the float range")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fp:
             fp.write(text)

@@ -174,10 +174,10 @@ def nonempty_members(T: Iterable[int], n: int) -> Coalition:
 class MultichoiceGame:
     """Dense game table over {0..k}^n with v(0,...,0) = 0.
 
-    ``values`` is a read-only float64 array of length (k+1)**n in canonical
-    little-endian order.  ``meta`` carries provenance such as the original
-    per-attribute level counts of a clamp-extended game or the member list
-    behind a macro attribute; it never affects equality of the table.
+    ``values`` is a read-only float64 array of length (k+1)**n in canonical little-endian
+    order, within ±(the largest float) / (2(k+1))^n, since an index route grows a value at
+    most 2(k+1)-fold per attribute: a difference doubles it, a sum of k+1 levels multiplies
+    it by k+1.  ``meta``, provenance such as original level counts, never affects equality.
     """
 
     n: int
@@ -190,14 +190,18 @@ class MultichoiceGame:
         object.__setattr__(self, "k", _integer(self.k, "top level k"))
         if self.n < 1 or self.k < 1:
             raise ValueError(f"need n >= 1 and k >= 1, got n={self.n}, k={self.k}")
-        vals = np.array(self.values, dtype=np.float64)  # private copy, then frozen
+        try:
+            vals = np.array(self.values, dtype=np.float64)  # private copy, then frozen
+        except OverflowError:  # an int past the float range: refused below, as inf is
+            vals = np.full(np.shape(self.values), np.inf)
         # (k+1)^n >= 2^n: an n past the length's bit length fails without the power
         if self.n > vals.size.bit_length() or vals.shape != ((self.k + 1) ** self.n,):
             raise ValueError(
                 f"table length {vals.size} does not match (k+1)^n over {{0..{self.k}}}^{self.n}"
             )
-        if not np.isfinite(vals).all():
-            raise ValueError("table values must be finite")
+        bound = sys.float_info.max / (2 * (self.k + 1)) ** self.n
+        if not (vals.max() <= bound and vals.min() >= -bound):  # NaN fails too
+            raise ValueError(f"table values must be finite and within ±{bound!r}")
         if vals[0] != 0.0:
             raise ValueError(f"value at the zero profile must be 0, got {vals[0]!r}")
         vals.flags.writeable = False
@@ -207,7 +211,7 @@ class MultichoiceGame:
     def from_values(
         cls, n: int, k: int, values: Sequence[float], meta: dict | None = None
     ) -> "MultichoiceGame":
-        return cls(n, k, np.asarray(values, dtype=np.float64), meta or {})
+        return cls(n, k, values, meta or {})
 
     @classmethod
     def from_function(
@@ -219,7 +223,10 @@ class MultichoiceGame:
         the float64 table: the build holds that table and the constructor's copy.
         """
         check_table_size(n, k)
-        return cls(n, k, np.fromiter((fn(x) for x in profiles(n, k)), np.float64, (k + 1) ** n))
+        try:
+            return cls(n, k, np.fromiter((fn(x) for x in profiles(n, k)), np.float64, (k + 1) ** n))
+        except OverflowError:  # a value of fn past the float range: refused, as inf is
+            return cls(n, k, np.full((k + 1) ** n, np.inf))
 
     def value(self, x: Sequence[int]) -> float:
         """Game value at profile x."""
@@ -231,7 +238,7 @@ class MultichoiceGame:
 
         Every axis must have the same length k + 1; :meth:`grid` is the inverse.
         """
-        arr = np.asarray(grid, dtype=np.float64)
+        arr = np.asarray(grid)  # converted by the constructor
         if len(set(arr.shape)) != 1:
             raise ValueError(f"grid axes must all have one length, got shape {arr.shape}")
         return cls(arr.ndim, arr.shape[0] - 1, arr.ravel(order="F"), meta or {})
@@ -297,7 +304,7 @@ def extend_heterogeneous(
         raise ValueError(f"target k={k} below max(k_list)={kmax}")
     check_table_size(n, k, limit_bits)
     expected = math.prod(ki + 1 for ki in k_list)
-    raw = np.asarray(raw_values, dtype=np.float64)
+    raw = np.asarray(raw_values)  # converted by the constructor
     if raw.shape != (expected,):
         raise ValueError(f"table length mismatch: got {raw.size} values, expected {expected}")
     # axis i-1 carries attribute i; a short axis reads its levels clamped to k_i

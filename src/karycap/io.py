@@ -10,7 +10,7 @@ pass the size guard before any value is read.
 
 The loader checks only what JSON leaves open and the guard reads: the keys,
 and that ``true`` or a string is no number; the library checks the table's
-length and finiteness.  Every refusal of a document is a :class:`GameFormatError`,
+length and bound.  Every refusal of a document is a :class:`GameFormatError`,
 except the guard's ``SizeLimitError``.
 """
 
@@ -57,8 +57,7 @@ def load_game(
     if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
         raise GameFormatError('"values" must be an array of numbers')
 
-    # the library checks the length and finiteness; the table is shifted even without
-    # normalize, so that those refusals come before the zero-profile one
+    # shifted even without normalize, so that the library's length and bound refusals come first
     try:
         table = np.asarray(values, dtype=np.float64)
         offset = float(table[0]) if table.size else 0.0

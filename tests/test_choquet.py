@@ -467,6 +467,19 @@ class TestIntegralCheck:
                 want = per_cell_integral_check(game, T, samples, seed)
                 assert [x.hex() for x in got] == [x.hex() for x in want]
 
+    @pytest.mark.parametrize("e", [900, -900])
+    @pytest.mark.parametrize("kind", GAME_KINDS)
+    @pytest.mark.parametrize("n, k", [(3, 2), (4, 3), (2, 9), (5, 2)])
+    def test_scales_with_the_table_bit_for_bit(self, n, k, kind, e):
+        # the differenced grid is brought to [1/2, 1) by a power of two, which commutes
+        # with rounding: at 2^900 the variance's squares once overflowed, with a
+        # RuntimeWarning, and at 2^-900 they underflowed and most results were inexact
+        v = random_game(n + k, n, k, kind)
+        scaled = MultichoiceGame(n, k, np.ldexp(v.values, e))
+        for T in [(1,), (1, 2)]:
+            want = [math.ldexp(x, e).hex() for x in integral_check(v, T, 40, 3)]
+            assert [x.hex() for x in integral_check(scaled, T, 40, 3)] == want
+
     def test_rejects_bad_arguments(self, m2):
         with pytest.raises(ValueError):
             integral_check(m2, (), 10, 1)

@@ -383,6 +383,18 @@ class TestIntegralCheck:
         assert code == 0
         assert list(doc) == ["estimate", "std_error", "closed_form", "z_score"]
 
+    @pytest.mark.parametrize("e", [900, -900])
+    def test_verdict_scales_by_powers_of_two(self, capsys, tmp_path, e):
+        # once refused at 2^900 ("too near the float range"): the variance's squares overflowed
+        v = random_game(13, 4, 2)
+        verdicts = []
+        for name, values in [("v", v.values), ("scaled", np.ldexp(v.values, e))]:
+            path = str(tmp_path / f"{name}.json")
+            save_game(MultichoiceGame(4, 2, values), path)
+            code, out, _ = run(capsys, "integral-check", path, "--set", "1", "--samples", "50")
+            verdicts.append((code, json.loads(out)["z_score"]))
+        assert verdicts[1] == verdicts[0] and verdicts[0][0] == 0
+
     @pytest.mark.parametrize(
         "extra, message",
         [(["--samples", "20000000"], "26-bit"), (["--samples", "200", "--limit", "10"], "10-bit")],
@@ -452,17 +464,22 @@ class TestExitCodes:
             main([argv[0], min2_path, *argv[1:]])
         assert exc.value.code == 2
 
-    # numpy warns on the way: the pass and the sums run outside np.errstate
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @staticmethod
+    def near_float_range(tmp_path):
+        # written as raw JSON: the constructor refuses these values, past the bound
+        path = tmp_path / "near.json"
+        values = (random_game(3, 3, 2).values * 1.7e308).tolist()
+        path.write_text(json.dumps({"n": 3, "k": 2, "values": values}) + "\n")
+        return str(path)
+
     @pytest.mark.parametrize("verb", ["importance", "verify"])
     def test_overflowing_sum_is_one_error_line(self, capsys, tmp_path, verb):
-        # a table near the float range overflows math.fsum: once a traceback
-        path = str(tmp_path / "near.json")
-        save_game(MultichoiceGame(3, 2, random_game(3, 3, 2).values * 1.7e308), path)
-        code, out, err = run(capsys, verb, path)
+        # a table near the float range overflowed math.fsum: once a traceback, then
+        # "intermediate overflow in fsum"; now the loader refuses it
+        code, out, err = run(capsys, verb, self.near_float_range(tmp_path))
         assert code == 1 and out == ""
-        assert err == "error: intermediate overflow in fsum\n"
+        bound = sys.float_info.max / (2 * 3) ** 3  # (2(k+1))^n at n = 3, k = 2
+        assert err == f'error: "values": table values must be finite and within ±{bound!r}\n'
 
     @pytest.mark.parametrize(
         "argv",
@@ -475,18 +492,20 @@ class TestExitCodes:
             ["verify", "--trials", "1"],
             ["integral-check", "--set", "1", "--samples", "50"],
             ["info"],
+            ["convert"],
+            ["choquet", "--point", "0.5,1,1.5"],
         ],
         ids=["order-2", "derivative_sum", "recursive", "cellsum", "importance", "verify",
-             "integral-check", "info"],
+             "integral-check", "info", "convert", "choquet"],
     )
     def test_a_table_near_the_float_range_is_one_error_line(self, capsys, tmp_path, argv):
-        # its differences overflow: once NaN and Infinity on stdout with exit 0, or
-        # numpy's RuntimeWarnings before the error line (the test settings raise those)
-        path = str(tmp_path / "near.json")
-        save_game(MultichoiceGame(3, 2, random_game(3, 3, 2).values * 1.7e308), path)
-        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        # its differences overflowed: once NaN and Infinity on stdout with exit 0, then a
+        # refusal that differed by verb (convert exited 0); now every verb meets the
+        # constructor's bound when the file is loaded
+        code, out, err = run(capsys, argv[0], self.near_float_range(tmp_path), *argv[1:])
         assert code == 1 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith('error: "values": table values must be finite and within ±')
+        assert err.count("\n") == 1
 
     def test_report_written_to_file(self, capsys, min2_path, tmp_path):
         out_path = str(tmp_path / "report.json")

@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 import tracemalloc
 import warnings
@@ -30,9 +31,12 @@ from karycap.game import (
     restrict_present_top,
     support,
 )
-from karycap.choquet import integral_check
-from karycap.indices import _classes, importance, interaction
-from karycap.verify import make_invariance_partner, make_null_extension, verify_axiom
+from karycap.choquet import choquet_kary, integral_check, interaction_cellsum, section_capacity
+from karycap.indices import (_classes, importance, interaction, interaction_all_upto,
+                             interaction_recursive, interaction_via_derivatives,
+                             lattice_point_interaction)
+from karycap.verify import (AXIOMS, efficiency_rhs, make_invariance_partner, make_null_extension,
+                            verify_axiom, verify_axioms)
 from conftest import delta_recursive
 
 # ints that no float holds, the last with more digits than str() formats
@@ -328,10 +332,20 @@ class TestGameConstruction:
             build()
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, *BEYOND_FLOATS])
     def test_non_finite_values_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            MultichoiceGame(1, 1, [0.0, bad])
+        # every builder meets the constructor's bound: an int past the float range
+        # once escaped each of them as OverflowError
+        builds = [
+            lambda: MultichoiceGame(1, 1, [0.0, bad]),
+            lambda: MultichoiceGame.from_values(1, 1, [0.0, bad]),
+            lambda: MultichoiceGame.from_grid([[0.0, bad], [1.0, 2.0]]),
+            lambda: MultichoiceGame.from_function(2, 1, lambda x: bad if x == (1, 1) else 0.0),
+            lambda: extend_heterogeneous([0.0, 1.0, bad], [2]),
+        ]
+        for build in builds:
+            with pytest.raises(ValueError, match="^table values must be finite and within ±"):
+                build()
 
     def test_values_read_only(self, m2):
         with pytest.raises(ValueError):
@@ -392,6 +406,62 @@ class TestGameConstruction:
     def test_value_lookup(self, m2):
         assert m2.value((1, 2)) == 1.0
         assert m2.value((2, 2)) == 2.0
+
+
+def at_the_bound(n, k, kind):
+    """A table whose largest magnitude is the bound B: a general game scaled to it,
+    or ±B by the parity of the level sum."""
+    bound = sys.float_info.max / (2 * (k + 1)) ** n
+    if kind == "general":
+        values = random_game(n + k, n, k).values
+        return MultichoiceGame(n, k, values / np.abs(values).max() * bound), bound
+    parity = sum(np.ix_(*[np.arange(k + 1)] * n)) % 2
+    values = np.where(parity == 0, bound, -bound).ravel(order="F")
+    values[0] = 0.0
+    return MultichoiceGame(n, k, values), bound
+
+
+class TestTableBound:
+    """Every index route grows a value at most 2(k+1)-fold per attribute, so at the
+    bound each returns finite values with no warning.  The summed capacity of cellsum,
+    a section capacity and verify's partners are games of their own, with their own
+    bound: past it they are refused with ValueError.  (At (8, 3) the Monte-Carlo check
+    runs at T = N only: its 6,561 cells cost about 0.3 s per coalition on a 2-vCPU guest.)"""
+
+    @pytest.mark.parametrize("kind", ["general", "alternating"])
+    @pytest.mark.parametrize("n, k", [(3, 2), (4, 3), (2, 9), (6, 1), (5, 2), (1, 3), (8, 3)])
+    def test_every_route_is_finite_or_refused(self, n, k, kind):
+        v, bound = at_the_bound(n, k, kind)
+        N = tuple(range(1, n + 1))
+        coalitions = sorted({(1,), N[:2], N})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = list(interaction_all_upto(v, n).values())
+            for T in coalitions:
+                got += [interaction(v, T), interaction_via_derivatives(v, T),
+                        interaction_recursive(v, T)]
+            got += [importance(v, n), efficiency_rhs(v), lattice_point_interaction(v, (k,) * n),
+                    lattice_point_interaction(v, (1,) + (0,) * (n - 1)),
+                    choquet_kary(v, [k / 2] * n), choquet_kary(v, [k * 0.3] * n)]
+            for T in coalitions if (n, k) != (8, 3) else [N]:
+                got += integral_check(v, T, 40, 5)
+            if (n, k) == (3, 2):  # the CLI's default sample count
+                got += integral_check(v, (1,), 100_000, 5)
+            assert all(map(math.isfinite, got))
+            axioms = [a for a in AXIOMS if (a != "I" or k >= 2) and (a != "R" or n >= 2)]
+            for route in [lambda: [interaction_cellsum(v, T) for T in coalitions],
+                          lambda: section_capacity(v, (0,) * n).values,
+                          lambda: [r.max_gap for r in verify_axioms(axioms, 1, 3, n, k, game=v)]]:
+                try:
+                    assert np.isfinite(route()).all()
+                except ValueError as exc:
+                    assert str(exc).startswith("table values must be finite and within ±")
+        past = v.values.copy()
+        past[np.abs(past).argmax()] = np.nextafter(bound, np.inf)
+        with pytest.raises(ValueError, match="^table values must be finite and within ±"):
+            MultichoiceGame(n, k, past)
+        with pytest.raises(ValueError, match="^table values must be finite and within ±"):
+            MultichoiceGame(n, k, -past)
 
 
 class TestDiscreteDerivative:

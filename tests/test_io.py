@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -253,6 +254,9 @@ class TestSaveBytes:
     def test_extreme_floats_round_trip_bitwise(self, tmp_path):
         values = random_game(8, 3, 3, "general").values.copy()
         values[:6] = [-0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e-7, -1e-7]
+        with pytest.raises(ValueError, match="^table values must be finite and within ±"):
+            MultichoiceGame(3, 3, values)  # past the bound of a (3, 3) table
+        values[2] = sys.float_info.max / (2 * 4) ** 3  # the largest value that it holds
         game = MultichoiceGame(3, 3, values)
         text = self.saved(game)
         assert text == self.reference(game)
